@@ -32,7 +32,7 @@ from .kernels import (calibrate_C_H, covariance_quadrature,
                       make_fbm_kernel)
 from .processes import (RosenblattSampler, TimeGrid, simulate_cylindrical,
                         simulate_fbm, simulate_rosenblatt, third_moment_oracle)
-from .regularity import (_fit_exponent, _mode_increment_var, field_variogram,
+from .regularity import (field_variogram, oracle_variogram_exponent,
                          regularity_verdict)
 from .seeding import STREAM_TEST, child_seed
 from .spde import (HolderParameters, NoiseOperator, SpectralModel, build_model,
@@ -459,13 +459,13 @@ def run(cfg: dict) -> int:
     started = time.perf_counter()
     try:
         validate_config(cfg)
+        verdicts, artifacts, _ = _HANDLERS[cfg["command"]](cfg, outdir)
     except (ConfigurationError, ParameterError, AdmissibilityError) as exc:
+        # library preconditions the validator does not restate land here too
         _write_json(os.path.join(outdir, "error.json"),
                     {"error": type(exc).__name__, "message": str(exc)})
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
-    try:
-        verdicts, artifacts, _ = _HANDLERS[cfg["command"]](cfg, outdir)
     except (NumericError, TruncationError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if getattr(exc, "drift", None) is not None:
@@ -711,24 +711,6 @@ def _crit_factorization(seed, scale):
                         "pi_identity_rel_error": pi_err, "pi_ok": pi_ok}}
 
 
-def _oracle_slopes(model, noise, grid, lags, bases, deltas, H=0.75,
-                   n_cells=4096):
-    """Exact-variogram slopes for several deltas in one sweep of modes."""
-    c = noise.mode_coefficients(model)
-    lam = model.eigenvalues
-    times = grid.points
-    h = np.array([times[lag] for lag in lags])
-    D = {d: np.zeros(len(lags)) for d in deltas}
-    for i, lag in enumerate(lags):
-        for b in bases:
-            s, t = times[b], times[b + lag]
-            v = np.array([_mode_increment_var(lam[k], s, t, H, n_cells)
-                          for k in range(model.modes)])
-            for d in deltas:
-                D[d][i] += np.sum(lam ** (2.0 * d) * c * c * v) / len(bases)
-    return {d: _fit_exponent(h, D[d], np.zeros_like(D[d]))[0] for d in deltas}
-
-
 def _crit_regularity(seed, scale):
     from .regularity import default_bases, default_lags
     reps = max(1000, int(round(1000 * scale)))
@@ -749,16 +731,16 @@ def _crit_regularity(seed, scale):
     vg = field_variogram(model, noise, "fbm", {"H": 0.75}, grid, reps,
                          child_seed(seed, STREAM_TEST, 8), lags=lags,
                          bases=bases, deltas=(0.0, 0.2), refinement=256)
-    oracles = _oracle_slopes(model, noise, grid, lags, bases, (0.0, 0.2))
     for res, target in zip(vg, (0.5, 0.3)):
         d = res["delta"]
+        oracle = oracle_variogram_exponent(model, noise, 0.75, grid, lags,
+                                           bases, delta=d)["exponent"]
         hp = HolderParameters(alpha=0.25, gamma=gamma_hat, delta=d)
-        rep = regularity_verdict(res, hp, "generic",
-                                 oracle_exponent=oracles[d])
+        rep = regularity_verdict(res, hp, "generic", oracle_exponent=oracle)
         ok = rep.verdict and abs(res["exponent"] - target) <= 0.05
         per_case[f"distributed_delta{d:g}"] = {
             "measured": res["exponent"], "se": res["se"], "target": target,
-            "oracle": oracles[d], "predicted": rep.predicted_bound, "ok": ok}
+            "oracle": oracle, "predicted": rep.predicted_bound, "ok": ok}
         passed &= ok
 
     n_pt, modes_pt = (2048, 64) if scale >= 1 else (1024, 32)

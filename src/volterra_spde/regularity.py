@@ -13,8 +13,8 @@ Exact second moments of field increments come from the per-mode identity
 
 with the norm evaluated by the rectangle-exact |u - v|^{2H-2} double
 integral.  On a uniform discretization grid that quadratic form is a
-symmetric Toeplitz matrix (second difference of |w|^{2H}), so each
-evaluation is one FFT-based Toeplitz matvec instead of a dense matrix.
+symmetric Toeplitz matrix (second difference of |w|^{2H}), so all modes
+of one (s, t) pair are evaluated by one batched FFT autocorrelation.
 
 Verdicts compare the measured exponent against the predicted bounds
 
@@ -34,13 +34,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import matmul_toeplitz
 
 from .errors import AdmissibilityError, ParameterError, TruncationError
 from .processes import (FbmSampler, PathEnsemble, RosenblattSampler, TimeGrid)
 from .seeding import STREAM_CYLINDRICAL, STREAM_FBM, STREAM_ROSENBLATT
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
                    mode_convolution)
+from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
     "RegularityReport",
@@ -277,38 +277,24 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
 # exact increment oracle
 # ---------------------------------------------------------------------------
 
-def _uniform_inner_product(vf: np.ndarray, vg: np.ndarray, dx: float,
-                           H: float) -> float:
-    """H(2H-1) iint f g |u-v|^{2H-2} for steps on one uniform grid.
-
-    The rectangle matrix is symmetric Toeplitz with entries the second
-    difference of |w|^{2H}/(2H(2H-1)); one FFT matvec evaluates it.
-    """
-    n = vf.size
-    c = 2.0 * H * (2.0 * H - 1.0)
-    w = np.arange(-1, n + 1) * dx
-    Fa = np.abs(w) ** (2.0 * H) / c
-    row = Fa[2:] - 2.0 * Fa[1:-1] + Fa[:-2]
-    tv = matmul_toeplitz((row, row), vg)
-    return float(H * (2.0 * H - 1.0) * (vf @ tv))
-
-
-def _mode_increment_var(lam: float, s: float, t: float, H: float,
-                        n_cells: int) -> float:
+def _mode_increment_var(lam, s: float, t: float, H: float, n_cells: int):
     """|| g_t - g_s ||^2 for g_t(r) = e^{-lam (t-r)} 1_{[0,t]})(r).
 
     The cell width divides t - s, so s and t are both edges and the
     indicator part of the difference is represented exactly; the grid
-    runs past r = 0 with zero values to stay uniform.
+    runs past r = 0 with zero values to stay uniform.  An array ``lam``
+    gives one value per mode from one batched quadratic form.
     """
+    lam = np.asarray(lam, dtype=float)[..., None]
     dx = (t - s) / max(1, int(np.ceil(n_cells * (t - s) / t)))
     n = int(np.ceil(t / dx))
     mid = t - dx * (np.arange(n, 0, -1) - 0.5)
     with np.errstate(under="ignore"):
         vals = np.where(mid > 0.0, np.exp(-lam * (t - mid)), 0.0)
         low = (0.0 < mid) & (mid < s)
-        vals[low] -= np.exp(-lam * (s - mid[low]))
-    return _uniform_inner_product(vals, vals, dx, H)
+        vals[..., low] -= np.exp(-lam * (s - mid[low]))
+    out = uniform_fbm_quadratic_form(vals, dx, H)
+    return float(out) if out.ndim == 0 else out
 
 
 def mean_square_increment_oracle(model: SpectralModel, noise: NoiseOperator,
@@ -330,10 +316,9 @@ def mean_square_increment_oracle(model: SpectralModel, noise: NoiseOperator,
 
     def total(mdl, nz):
         c = nz.mode_coefficients(mdl)
-        return sum(
-            mdl.eigenvalues[k] ** (2.0 * delta) * c[k] ** 2
-            * _mode_increment_var(mdl.eigenvalues[k], s, t, H, n_cells)
-            for k in range(mdl.modes))
+        lam = mdl.eigenvalues
+        return np.sum(lam ** (2.0 * delta) * c ** 2
+                      * _mode_increment_var(lam, s, t, H, n_cells))
 
     base = total(model, noise)
     if check:

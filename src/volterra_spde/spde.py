@@ -43,7 +43,8 @@ from .errors import (AlignmentError, ConfigurationError, NumericError,
 from .kernels import VolterraKernel
 from .processes import CylindricalEnsemble, PathEnsemble, TimeGrid
 from .quadrature import gauss_legendre_panels, two_sided_singular_rule
-from .wiener_integral import StepFunction, elementary_integral, integral_variance
+from .wiener_integral import (elementary_integral, integral_variance,
+                              uniform_fbm_quadratic_form)
 
 __all__ = [
     "SpectralModel",
@@ -446,15 +447,15 @@ def per_mode_variance_oracle(lam: float, t: float, H: float,
                              n_cells: int = 4096) -> float:
     """H(2H-1) iint_{[0,t]^2} e^{-lam(t-u)-lam(t-v)} |u-v|^{2H-2} du dv.
 
-    Independent of the solver: the exponential is discretized as a fine
-    midpoint step function and the double integral evaluated with the
-    rectangle-exact antiderivative.  Midpoint bias is O((lam t / n)^2).
+    Independent of the solver: the exponential is discretized as a
+    midpoint step function on ``n_cells`` uniform cells, whose double
+    integral is exact as an FFT-evaluated Toeplitz quadratic form
+    (:func:`uniform_fbm_quadratic_form`).  Midpoint bias is O((lam t / n)^2).
     """
-    from .wiener_integral import fbm_inner_product
     edges = np.linspace(0.0, t, n_cells + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
-    g = StepFunction(breakpoints=edges, values=np.exp(-lam * (t - mid)))
-    return fbm_inner_product(g, g, H)
+    return float(uniform_fbm_quadratic_form(np.exp(-lam * (t - mid)),
+                                            t / n_cells, H))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,8 @@ moment is computed two independent ways:
       <f, g> = H(2H - 1) iint f(u) g(v) |u - v|^{2H - 2} du dv,
 
   evaluated rectangle by rectangle with the exact antiderivative, no
-  singular 2-D quadrature.
+  singular 2-D quadrature.  On a uniform grid the matrix is Toeplitz and
+  the form is evaluated from the FFT autocorrelation of the values.
 
 Agreement of the two is a cross-check, not an assumption.  The same
 rectangle machinery without the H(2H - 1) constant gives the upper-bound
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .errors import AlignmentError, NumericError, ParameterError
 from .kernels import VolterraKernel
@@ -49,6 +51,7 @@ __all__ = [
     "apply_Kstar",
     "integral_variance",
     "fbm_inner_product",
+    "uniform_fbm_quadratic_form",
     "upper_bound_functional",
     "compute_norms",
     "elementary_integral",
@@ -183,6 +186,25 @@ def fbm_inner_product(f: StepFunction, g: StepFunction, H: float) -> float:
         raise ParameterError(f"H={H} outside (1/2, 1)")
     M = _rectangle_matrix(f.breakpoints, g.breakpoints, H)
     return float(H * (2.0 * H - 1.0) * (f.values @ M @ g.values))
+
+
+def uniform_fbm_quadratic_form(v: np.ndarray, dx: float, H: float):
+    """Each row of ``v`` against itself under :func:`fbm_inner_product`.
+
+    The rows are steps on uniform cells of width ``dx``, where the
+    rectangle matrix M is symmetric Toeplitz: v^T M v needs only the
+    autocorrelation of v, which one zero-padded rfft/irfft pair gives for
+    all rows at once.  Returns shape ``v.shape[:-1]``.
+    """
+    if not 0.5 < H < 1.0:
+        raise ParameterError(f"H={H} outside (1/2, 1)")
+    n = v.shape[-1]
+    weights = _rectangle_matrix(dx * np.arange(2), dx * np.arange(n + 1), H)[0]
+    weights[1:] *= 2.0
+    nfft = next_fast_len(2 * n - 1, real=True)
+    spec = rfft(v, nfft, axis=-1)
+    acf = irfft(spec.real ** 2 + spec.imag ** 2, nfft, axis=-1)[..., :n]
+    return H * (2.0 * H - 1.0) * (acf @ weights)
 
 
 def upper_bound_functional(phi: StepFunction, alpha: float) -> float:

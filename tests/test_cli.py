@@ -106,6 +106,24 @@ def test_run_invalid_config_exits_2(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["model.nodes=100"], "nodes >= 4*modes"),
+    (['noise.kind="pointwise"', "noise.z=0"], "z=0.0 outside"),
+    (['driver.family="rosenblatt"', "driver.inner=8"], "inner resolution"),
+])
+def test_run_handler_precondition_exits_2(tmp_path, overrides, message):
+    # the validator passes these; the library objects the handler builds
+    # refuse them, and that is still a configuration error
+    cfg = _cfg('command="solve"', "mc.replicas=10", "grids.n_steps=16",
+               *overrides, f"output.directory={tmp_path}")
+    validate_config(cfg)
+    assert run(cfg) == 2
+    err = json.loads((tmp_path / "error.json").read_text())
+    assert err["error"] == "ParameterError"
+    assert message in err["message"]
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_run_simulate_writes_manifest_and_ensemble(tmp_path):
     cfg = _cfg("mc.replicas=500", "grids.n_steps=128",
                f"output.directory={tmp_path}")

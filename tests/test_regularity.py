@@ -158,6 +158,18 @@ def test_zero_eigenvalue_increment_variance_is_exact():
         assert v == pytest.approx((t - s) ** (2 * H), rel=1e-12)
 
 
+def test_increment_oracle_batches_modes():
+    # one batched call over an eigenvalue array against the scalar loop;
+    # only the order of the FFT and dot-product sums may differ
+    lam = build_model(np.pi, 1, 16, 64).eigenvalues
+    s, t = 0.5, 0.5625
+    batched = _mode_increment_var(lam, s, t, 0.75, 4096)
+    loop = [_mode_increment_var(x, s, t, 0.75, 4096) for x in lam]
+    assert all(isinstance(v, float) for v in loop)
+    assert batched.shape == lam.shape
+    np.testing.assert_allclose(batched, loop, rtol=1e-12)
+
+
 def test_increment_oracle_edge_cases(model_16, noise_ones_16):
     assert mean_square_increment_oracle(model_16, noise_ones_16, 0.75,
                                         0.5, 0.5) == 0.0

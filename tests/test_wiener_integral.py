@@ -23,6 +23,7 @@ from volterra_spde.wiener_integral import (StepFunction, apply_Kstar,
                                            integral_variance,
                                            random_step_function,
                                            riemann_stieltjes,
+                                           uniform_fbm_quadratic_form,
                                            upper_bound_functional)
 
 
@@ -103,6 +104,29 @@ def test_inner_product_indicator_closed_form():
             f = StepFunction.indicator(t)
             assert fbm_inner_product(f, f, H) == pytest.approx(
                 t ** (2 * H), rel=1e-12)
+            assert uniform_fbm_quadratic_form(np.ones(64), t / 64, H) == \
+                pytest.approx(t ** (2 * H), rel=1e-12)
+    with pytest.raises(ParameterError):
+        uniform_fbm_quadratic_form(np.ones(4), 0.25, 0.5)
+
+
+@given(n=st.integers(1, 256), rows=st.integers(1, 3),
+       dx=st.floats(1e-3, 1.0), H=st.floats(0.55, 0.95),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_uniform_form_matches_rectangle_matrix(n, rows, dx, H, seed):
+    # the batched FFT form against the dense rectangle matrix, row by row;
+    # increments of mixed sign cancel, so the tolerance is taken relative
+    # to the form of |v|
+    v = np.random.default_rng(seed).standard_normal((rows, n))
+    got = uniform_fbm_quadratic_form(v, dx, H)
+    assert got.shape == (rows,)
+    bp = dx * np.arange(n + 1)
+    for vk, gk in zip(v, got):
+        f = StepFunction(breakpoints=bp, values=vk)
+        a = StepFunction(breakpoints=bp, values=np.abs(vk))
+        assert abs(gk - fbm_inner_product(f, f, H)) <= \
+            1e-10 * fbm_inner_product(a, a, H)
 
 
 def test_cross_oracle_agreement():
