@@ -39,6 +39,7 @@ from .processes import (
     RosenblattSampler,
     simulate_rosenblatt,
     third_moment_oracle,
+    make_sampler,
     simulate_cylindrical,
 )
 from .wiener_integral import (
@@ -90,7 +91,8 @@ __all__ = [
     "moment_ratio", "moment_ratio_stderr", "hypercontractivity_sweep",
     "TimeGrid", "PathEnsemble", "CylindricalEnsemble",
     "FbmSampler", "simulate_fbm", "RosenblattSampler",
-    "simulate_rosenblatt", "third_moment_oracle", "simulate_cylindrical",
+    "simulate_rosenblatt", "third_moment_oracle", "make_sampler",
+    "simulate_cylindrical",
     "StepFunction", "IntegrandNorms", "apply_Kstar", "integral_variance",
     "fbm_inner_product", "compute_norms", "elementary_integral",
     "riemann_stieltjes", "random_step_function", "embedding_bound_check",

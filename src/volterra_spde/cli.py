@@ -7,6 +7,9 @@ recording the config hash, seed, library versions, wall clock, and each
 pass/fail verdict.  Exit codes: 0 all verdicts pass, 2 validation error,
 3 numeric/convergence failure, 4 criterion failure.
 
+Each command runs the check of its acceptance criterion at the sizes its
+config names; the criterion runs the same check at acceptance sizes.
+
 Control flow is single threaded.  Replica blocks and the BLAS kernels
 underneath provide the parallelism; every module contract is worker
 count independent, so manifests do not depend on thread counts.
@@ -15,6 +18,7 @@ count independent, so manifests do not depend on thread counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .chaos import hermite, hypercontractivity_sweep, moment_ratio, moment_ratio_stderr
-from .errors import (AdmissibilityError, ConfigurationError, NumericError,
+from .errors import (AlignmentError, ConfigurationError, NumericError,
                      ParameterError, TruncationError)
 from .kernels import (calibrate_C_H, covariance_quadrature,
                       fbm_constant_closed_form, fbm_covariance_closed_form,
@@ -57,12 +61,22 @@ _DEFAULTS = {
     "mc": {"replicas": 2000, "seed": DEFAULT_SEED, "n_phi": 8, "scale": 1.0},
     "grids": {"T": 1.0, "n_steps": 512, "refinement": 64, "lags": None},
     "params": {"alpha": 0.25, "gamma": 0.25, "delta": 0.0, "beta": 0.1,
-               "p": 2.0, "nu": 0.4},
+               "p": 2.0},
     "output": {"directory": None, "formats": ["csv", "json"]},
 }
 
-_COMMANDS = ("simulate", "isometry", "chaos", "gamma-decay", "solve",
-             "factorize", "regularity", "full-suite")
+# leaf types the default does not show, and the item types of list leaves
+_LEAF_TYPES = {"driver.truncation": (type(None), int, float),
+               "noise.z": (type(None), int, float),
+               "noise.phi_rule": (str, list),
+               "grids.refinement": (type(None), int),
+               "grids.lags": (type(None), list),
+               "output.directory": (type(None), str)}
+_ITEM_TYPES = {"noise.phi_rule": (int, float), "grids.lags": (int,),
+               "output.formats": (str,)}
+
+# gamma-norm fit grid: two decades of semigroup time
+_U_GRID = np.geomspace(1e-4, 1e-2, 13)
 
 
 # ---------------------------------------------------------------------------
@@ -123,43 +137,46 @@ def apply_override(cfg: dict, assignment: str) -> None:
         node[keys[-1]] = raw
 
 
+def _check_types(cfg: dict, defaults: dict = _DEFAULTS, path: str = "") -> None:
+    """Each leaf has its default's type: ints take ints, floats take
+    numbers, and neither takes a bool."""
+    for key, default in defaults.items():
+        here, val = path + key, cfg[key]
+        types = _LEAF_TYPES.get(here) or (
+            (int, float) if type(default) is float else (type(default),))
+        if type(val) not in types or (type(val) is list and any(
+                type(v) not in _ITEM_TYPES[here] for v in val)):
+            raise ConfigurationError(f"{here} has the wrong type: {val!r}")
+        if type(val) is dict:
+            _check_types(val, default, here + ".")
+
+
 def validate_config(cfg: dict) -> None:
-    """Check every admissibility condition, naming the violated inequality."""
-    if cfg["command"] not in _COMMANDS:
+    """Check leaf types, then build the model, noise coefficients, grid and
+    exponent bundle so the library names each violated precondition."""
+    _check_types(cfg)
+    if cfg["command"] not in _HANDLERS:
         raise ConfigurationError(
-            f"command {cfg['command']!r} not one of {_COMMANDS}")
-    drv, mdl, nz, mc, gr = (cfg["driver"], cfg["model"], cfg["noise"],
-                            cfg["mc"], cfg["grids"])
+            f"command {cfg['command']!r} not one of {tuple(_HANDLERS)}")
+    drv, nz = cfg["driver"], cfg["noise"]
     if drv["family"] not in ("fbm", "rosenblatt"):
         raise ConfigurationError(f"driver.family {drv['family']!r} unknown")
     if not 0.5 < drv["H"] < 1.0:
         raise ParameterError(
             f"driver.H must satisfy 1/2 < H < 1, got {drv['H']}")
-    if mdl["L"] <= 0:
-        raise ParameterError(f"model.L must satisfy L > 0, got {mdl['L']}")
-    if mdl["m"] < 1 or mdl["modes"] < 1:
-        raise ParameterError("model.m and model.modes must satisfy m, modes >= 1")
-    if mdl["nodes"] < mdl["modes"]:
-        raise ParameterError(
-            f"model.nodes must satisfy nodes >= modes, got "
-            f"{mdl['nodes']} < {mdl['modes']}")
     if nz["kind"] not in ("diagonal", "pointwise"):
         raise ConfigurationError(f"noise.kind {nz['kind']!r} unknown")
-    if nz["kind"] == "pointwise":
-        z = mdl["L"] / 2.0 if nz["z"] is None else nz["z"]
-        if not 0.0 <= z <= mdl["L"]:
-            raise ParameterError(
-                f"noise.z must satisfy 0 <= z <= L, got z={z}, L={mdl['L']}")
-    if nz["p"] < 1.0:
+    if not nz["p"] >= 1.0:
         raise ParameterError(f"noise.p must satisfy p >= 1, got {nz['p']}")
-    if mc["replicas"] < 1:
-        raise ParameterError("mc.replicas must satisfy replicas >= 1")
-    if gr["T"] <= 0 or gr["n_steps"] < 1:
-        raise ParameterError("grids require T > 0 and n_steps >= 1")
-    if cfg["command"] in ("factorize", "regularity"):
+    if cfg["mc"]["replicas"] < 2:
+        # every check needs a Monte Carlo standard error
+        raise ParameterError("mc.replicas must satisfy replicas >= 2")
+    model, noise, _ = _problem(cfg)
+    noise.mode_coefficients(model)
+    if cfg["command"] in ("gamma-decay", "factorize", "regularity"):
         p = cfg["params"]
         HolderParameters(alpha=p["alpha"], gamma=p["gamma"], delta=p["delta"],
-                         beta=p["beta"], p=p["p"], nu=p["nu"])
+                         beta=p["beta"], p=p["p"])
 
 
 def _versions() -> dict:
@@ -209,6 +226,13 @@ def _noise_from(cfg: dict, model: SpectralModel) -> NoiseOperator:
     return NoiseOperator(kind="diagonal", phi_k=phi, p=nz["p"])
 
 
+def _problem(cfg: dict) -> tuple[SpectralModel, NoiseOperator, TimeGrid]:
+    """The spectral model, noise operator and time grid a config names."""
+    mdl, gr = cfg["model"], cfg["grids"]
+    model = build_model(mdl["L"], mdl["m"], mdl["modes"], mdl["nodes"])
+    return model, _noise_from(cfg, model), TimeGrid.regular(gr["T"], gr["n_steps"])
+
+
 def _driver_params(cfg: dict) -> tuple[str, dict]:
     drv = cfg["driver"]
     if drv["family"] == "fbm":
@@ -218,56 +242,83 @@ def _driver_params(cfg: dict) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (verdicts, artifacts, details)
+# checks: one per verdict.  A command calls its check at config sizes, the
+# acceptance criterion at acceptance sizes.  Each reports "ok" and
+# margin = deviation / tolerance, which passes at <= 1.
 # ---------------------------------------------------------------------------
 
-def _cmd_simulate(cfg, outdir):
-    gr, mc, drv = cfg["grids"], cfg["mc"], cfg["driver"]
-    grid = TimeGrid.regular(gr["T"], gr["n_steps"])
-    H = drv["H"]
-    if drv["family"] == "fbm":
-        ens = simulate_fbm(H, grid, replicas=mc["replicas"], seed=mc["seed"])
-    else:
-        ens = simulate_rosenblatt(H, grid, trunc=drv["truncation"],
-                                  inner=drv["inner"], replicas=mc["replicas"],
-                                  seed=mc["seed"], check=drv["certify"])
-    artifacts = []
-    if "csv" in cfg["output"]["formats"]:
-        path = os.path.join(outdir, "ensemble.csv")
-        ens.to_csv(path)
-        artifacts.append("ensemble.csv")
-    idx = np.unique(np.linspace(1, grid.n_steps, 5).astype(int))
-    ts = grid.points[idx]
-    vals = ens.values[:, idx]
-    emp = vals.T @ vals / vals.shape[0]
-    exact = fbm_covariance_closed_form(H, ts[:, None], ts[None, :])
-    se = np.sqrt(np.var(vals[:, :, None] * vals[:, None, :], axis=0)
-                 / vals.shape[0])
+def _worst(rows: list[dict]) -> dict:
+    """The largest margin among check rows and whether every row passed."""
+    return {"margin": max(r["margin"] for r in rows),
+            "ok": all(r["ok"] for r in rows)}
+
+
+def _variance_check(x: np.ndarray, oracle: float) -> dict:
+    """E x^2 against ``oracle`` within max(3 SE, 2 %); a zero oracle
+    needs |x| <= 1e-12."""
+    if oracle == 0.0:
+        dev = float(np.max(np.abs(x)))
+        return {"exact_zero": True, "margin": dev / 1e-12, "ok": dev <= 1e-12}
+    mc_var = float(np.mean(x * x))
+    se = float(np.std(x * x) / np.sqrt(x.size))
+    dev, tol = abs(mc_var - oracle), max(3.0 * se, 0.02 * oracle)
+    return {"mc_var": mc_var, "se": se, "oracle": oracle,
+            "rel_dev": abs(mc_var / oracle - 1.0), "margin": dev / tol,
+            "ok": dev <= tol}
+
+
+def _scalar_driver(family: str, params: dict, grid: TimeGrid, replicas: int,
+                   seed: int):
+    if family == "fbm":
+        return simulate_fbm(params["H"], grid, replicas, seed)
+    return simulate_rosenblatt(params["Hp"], grid, params["trunc"],
+                               params["inner"], replicas=replicas, seed=seed,
+                               check=params["check"])
+
+
+def _solve_check(model, noise, family: str, params: dict, grid: TimeGrid,
+                 replicas: int, seed: int, refinement, H: float):
+    """The mild solution and the variance check of its modes 1, 4 and 16
+    at T against c_k^2 times the exact per-mode variance."""
+    driver = (simulate_cylindrical(family, params, model.modes, grid,
+                                   replicas, seed)
+              if noise.kind == "diagonal" else
+              _scalar_driver(family, params, grid, replicas, seed))
+    field = solve_mild(model, noise, driver, None, grid, refinement)
+    c = noise.mode_coefficients(model)
+    return field, [dict(mode=k + 1, **_variance_check(
+        field.mode_paths[:, k, -1],
+        c[k] ** 2 * per_mode_variance_oracle(model.eigenvalues[k], grid.T, H)))
+        for k in (0, 3, 15) if k < model.modes]
+
+
+def _covariance_check(values: np.ndarray, times: np.ndarray, H: float) -> dict:
+    """Empirical covariance of ``values`` (replicas x times) against the
+    fBm closed form, entrywise within max(3 SE, 2 %)."""
+    reps = values.shape[0]
+    emp = values.T @ values / reps
+    exact = fbm_covariance_closed_form(H, times[:, None], times[None, :])
+    se = np.sqrt(np.var(values[:, :, None] * values[:, None, :], axis=0) / reps)
     dev = np.abs(emp - exact)
     tol = np.maximum(3.0 * se, 0.02 * np.abs(exact))
-    ok = bool(np.all(dev <= tol))
-    report = {"family": drv["family"], "H": H, "times": ts.tolist(),
-              "max_abs_dev": float(np.max(dev)),
-              "worst_margin": float(np.max(dev - tol)),
-              "covariance_ok": ok}
-    _write_json(os.path.join(outdir, "covariance_check.json"), report)
-    artifacts.append("covariance_check.json")
-    return {"covariance": ok}, artifacts, report
+    return {"max_abs_dev": float(np.max(dev)),
+            "margin": float(np.max(dev / tol)), "ok": bool(np.all(dev <= tol))}
 
 
-def _cmd_isometry(cfg, outdir):
-    mc, gr = cfg["mc"], cfg["grids"]
-    H = cfg["driver"]["H"]
+def _isometry_check(H: float, grid: TimeGrid, replicas: int, n_phi: int,
+                    seed: int) -> dict:
+    """E I(phi)^2 against the isometry norm within 3 SE, and that norm
+    against the direct fBm inner product within 1e-3, for phi = 0 and
+    ``n_phi`` random step functions."""
     kern = make_fbm_kernel(H)
-    grid = TimeGrid.regular(gr["T"], min(gr["n_steps"], 256))
-    ens = simulate_fbm(H, grid, replicas=mc["replicas"], seed=mc["seed"])
-    rng = np.random.default_rng(child_seed(mc["seed"], STREAM_TEST, 2))
+    ens = simulate_fbm(H, grid, replicas, child_seed(seed, STREAM_TEST, 2))
+    rng = np.random.default_rng(child_seed(seed, STREAM_TEST, 2, 1))
     phis = [StepFunction(breakpoints=np.array([0.0, grid.T]),
                          values=np.array([0.0]))]
     phis += [random_step_function(grid.T, int(rng.integers(3, 9)), rng,
                                   times=grid.points)
-             for _ in range(mc["n_phi"])]
-    rows, all_ok = [], True
+             for _ in range(n_phi)]
+    rows = []
     for j, phi in enumerate(phis):
         norms = compute_norms(phi, kern)
         I = elementary_integral(phi, ens)
@@ -275,129 +326,144 @@ def _cmd_isometry(cfg, outdir):
         if norms.isometry_norm_sq == 0.0:
             ok = mc_var == 0.0
             rows.append({"phi": j, "exact_zero": True, "mc_var": mc_var,
-                         "ok": ok})
-        else:
-            se = float(np.std(I * I) / np.sqrt(I.size))
-            z = (mc_var - norms.isometry_norm_sq) / se
-            cross = abs(norms.isometry_norm_sq - norms.fbm_inner_sq) \
-                / norms.fbm_inner_sq
-            ok = abs(z) <= 3.0 and cross <= 1e-3
-            rows.append({"phi": j, "mc_var": mc_var,
-                         "norm_sq": norms.isometry_norm_sq, "z": z,
-                         "cross_rel": cross, "ok": ok})
-        all_ok &= ok
-    report = {"H": H, "replicas": mc["replicas"], "checks": rows,
-              "isometry_ok": all_ok}
-    _write_json(os.path.join(outdir, "isometry.json"), report)
-    return {"isometry": all_ok}, ["isometry.json"], report
+                         "margin": 0.0 if ok else float("inf"), "ok": ok})
+            continue
+        se = float(np.std(I * I) / np.sqrt(I.size))
+        z = abs(mc_var - norms.isometry_norm_sq) / se
+        cross = abs(norms.isometry_norm_sq / norms.fbm_inner_sq - 1.0)
+        rows.append({"phi": j, "mc_var": mc_var,
+                     "norm_sq": norms.isometry_norm_sq, "z": z,
+                     "cross_rel": cross, "margin": max(z / 3.0, cross / 1e-3),
+                     "ok": z <= 3.0 and cross <= 1e-3})
+    return {"checks": rows, "worst_z": max(r.get("z", 0.0) for r in rows),
+            "worst_cross_rel": max(r.get("cross_rel", 0.0) for r in rows),
+            **_worst(rows)}
+
+
+def _gamma_decay_check(model: SpectralModel, noise: NoiseOperator, p: float,
+                       alpha: float) -> dict:
+    """The gamma-norm decay fit: admissible exponent and R^2 >= 0.99."""
+    res = estimate_gamma_decay(model, noise, p, _U_GRID, alpha=alpha)
+    margin = max((1.0 - res["r_squared"]) / 0.01,
+                 res["gamma_hat"] / (alpha + 0.5 - 0.02))
+    return dict(res, margin=margin,
+                ok=res["admissible"] and res["r_squared"] >= 0.99)
+
+
+def _factorization_check(model, noise, family: str, params: dict,
+                         grid: TimeGrid, replicas: int, seed: int, refinement,
+                         alpha: float, combos) -> dict:
+    """Relative L^2 error at T of the factorization route against the
+    direct mild solution, below 3 % for each (beta, delta), and the pi
+    identity at (1/2, 0.3 T, T) to 1e-6."""
+    driver = simulate_cylindrical(family, params, model.modes, grid, replicas,
+                                  seed)
+    a = solve_mild(model, noise, driver, None, grid, refinement).mode_paths[:, :, -1]
+    denom = float(np.mean(np.sum(a * a, axis=1)))
+    per_combo = {}
+    for beta, delta in combos:
+        b = factorization_reconstruct(model, noise, driver, beta, delta, grid,
+                                      alpha=alpha).mode_paths[:, :, -1]
+        rel = float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1)) / denom))
+        per_combo[f"beta{beta:g}_delta{delta:g}"] = {
+            "rel_error": rel, "margin": rel / 0.03, "ok": rel < 0.03}
+    pi_err = abs(factorization_constant_check(0.5, 0.3 * grid.T, grid.T)
+                 / np.pi - 1.0)
+    pi = {"margin": pi_err / 1e-6, "ok": pi_err <= 1e-6}
+    return {"per_combo": per_combo, "pi_identity_rel_error": pi_err,
+            "pi_ok": pi["ok"], **_worst([*per_combo.values(), pi])}
+
+
+def _regularity_check(model, noise, family: str, params: dict, grid: TimeGrid,
+                      replicas: int, seed: int, *, gamma: float, alpha: float,
+                      beta: float = 0.0, p: float = 2.0, deltas=(0.0,),
+                      lags=None, refinement=256) -> list:
+    """The streaming variogram of the mild solution and, per delta, its
+    Holder verdict under the decay exponent ``gamma``: (result, report)."""
+    vg = field_variogram(model, noise, family, params, grid, replicas, seed,
+                         lags=lags, deltas=deltas, refinement=refinement)
+    case = "pointwise" if noise.kind == "pointwise" else "generic"
+    return [(res, regularity_verdict(res, HolderParameters(
+                alpha=alpha, gamma=gamma, delta=res["delta"], beta=beta, p=p),
+                case)) for res in vg]
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each returns (verdicts, artifacts)
+# ---------------------------------------------------------------------------
+
+def _report(outdir, name: str, verdict: str, report: dict, artifacts=()):
+    _write_json(os.path.join(outdir, f"{name}.json"), report)
+    return {verdict: report["ok"]}, [*artifacts, f"{name}.json"]
+
+
+def _cmd_simulate(cfg, outdir):
+    gr, mc, drv = cfg["grids"], cfg["mc"], cfg["driver"]
+    grid = TimeGrid.regular(gr["T"], gr["n_steps"])
+    ens = _scalar_driver(*_driver_params(cfg), grid, mc["replicas"], mc["seed"])
+    artifacts = []
+    if "csv" in cfg["output"]["formats"]:
+        ens.to_csv(os.path.join(outdir, "ensemble.csv"))
+        artifacts.append("ensemble.csv")
+    idx = np.unique(np.linspace(1, grid.n_steps, 5).astype(int))
+    ts = grid.points[idx]
+    report = dict(_covariance_check(ens.values[:, idx], ts, drv["H"]),
+                  family=drv["family"], H=drv["H"], times=ts.tolist())
+    return _report(outdir, "covariance_check", "covariance", report, artifacts)
+
+
+def _cmd_isometry(cfg, outdir):
+    mc, gr, H = cfg["mc"], cfg["grids"], cfg["driver"]["H"]
+    grid = TimeGrid.regular(gr["T"], min(gr["n_steps"], 256))
+    report = dict(_isometry_check(H, grid, mc["replicas"], mc["n_phi"],
+                                  mc["seed"]), H=H, replicas=mc["replicas"])
+    return _report(outdir, "isometry", "isometry", report)
 
 
 def _cmd_chaos(cfg, outdir):
     mc = cfg["mc"]
     det = _crit_hypercontractivity(mc["seed"], 1.0,
                                    replicas=max(mc["replicas"], 2000))
-    _write_json(os.path.join(outdir, "chaos.json"), det["details"])
-    return {"hypercontractivity": det["passed"]}, ["chaos.json"], det["details"]
+    return _report(outdir, "chaos", "hypercontractivity",
+                   dict(det["details"], ok=det["passed"]))
 
 
 def _cmd_gamma_decay(cfg, outdir):
-    mdl = cfg["model"]
-    model = build_model(mdl["L"], mdl["m"], mdl["modes"], mdl["nodes"])
-    noise = _noise_from(cfg, model)
-    u_grid = np.geomspace(1e-4, 1e-2, 13)
-    res = estimate_gamma_decay(model, noise, cfg["noise"]["p"], u_grid,
-                               alpha=cfg["params"]["alpha"])
-    ok = bool(res["admissible"] and res["r_squared"] >= 0.99
-              and not res["fit_warning"])
-    report = {"gamma_hat": res["gamma_hat"], "admissible": res["admissible"],
-              "r_squared": res["r_squared"], "fit_warning": res["fit_warning"],
-              "u_grid": u_grid.tolist(), "norms": list(res["norms"]),
-              "decay_ok": ok}
-    _write_json(os.path.join(outdir, "gamma_decay.json"), report)
-    return {"gamma_decay": ok}, ["gamma_decay.json"], report
+    model, noise, _ = _problem(cfg)
+    report = dict(_gamma_decay_check(model, noise, cfg["noise"]["p"],
+                                     cfg["params"]["alpha"]), u_grid=_U_GRID)
+    return _report(outdir, "gamma_decay", "gamma_decay", report)
 
 
 def _cmd_solve(cfg, outdir):
-    mdl, gr, mc = cfg["model"], cfg["grids"], cfg["mc"]
-    model = build_model(mdl["L"], mdl["m"], mdl["modes"], mdl["nodes"])
-    noise = _noise_from(cfg, model)
-    grid = TimeGrid.regular(gr["T"], gr["n_steps"])
-    family, params = _driver_params(cfg)
-    if noise.kind == "pointwise":
-        driver = (simulate_fbm(params["H"], grid, mc["replicas"], mc["seed"])
-                  if family == "fbm" else
-                  simulate_rosenblatt(params["Hp"], grid, params["trunc"],
-                                      params["inner"], replicas=mc["replicas"],
-                                      seed=mc["seed"], check=params["check"]))
-    else:
-        driver = simulate_cylindrical(family, params, model.modes, grid,
-                                      mc["replicas"], mc["seed"])
-    field = solve_mild(model, noise, driver, None, grid, gr["refinement"])
+    gr, mc = cfg["grids"], cfg["mc"]
+    model, noise, grid = _problem(cfg)
+    field, rows = _solve_check(model, noise, *_driver_params(cfg), grid,
+                               mc["replicas"], mc["seed"], gr["refinement"],
+                               cfg["driver"]["H"])
     artifacts = []
     if "csv" in cfg["output"]["formats"]:
-        path = os.path.join(outdir, "solution_snapshot.csv")
-        field.snapshot_to_csv(path, times=[grid.T])
+        field.snapshot_to_csv(os.path.join(outdir, "solution_snapshot.csv"),
+                              times=[grid.T])
         artifacts.append("solution_snapshot.csv")
-    c = noise.mode_coefficients(model)
-    H = cfg["driver"]["H"]
-    rows, all_ok = [], True
-    for k in [k for k in (0, 3, 15) if k < model.modes]:
-        x = field.mode_paths[:, k, -1]
-        mc_var = float(np.mean(x * x))
-        oracle = c[k] ** 2 * per_mode_variance_oracle(
-            model.eigenvalues[k], grid.T, H)
-        if oracle == 0.0:
-            ok = bool(np.max(np.abs(x)) <= 1e-12)
-            rows.append({"mode": k + 1, "exact_zero": True, "ok": ok})
-        else:
-            se = float(np.std(x * x) / np.sqrt(x.size))
-            ok = abs(mc_var - oracle) <= max(3.0 * se, 0.02 * oracle)
-            rows.append({"mode": k + 1, "mc_var": mc_var, "oracle": oracle,
-                         "rel_dev": abs(mc_var / oracle - 1.0), "ok": ok})
-        all_ok &= ok
     report = {"modes_checked": [r["mode"] for r in rows], "checks": rows,
-              "variance_ok": all_ok, "metadata": field.metadata}
-    _write_json(os.path.join(outdir, "solve.json"), report)
-    artifacts.append("solve.json")
-    return {"per_mode_variance": all_ok}, artifacts, report
+              **_worst(rows), "metadata": field.metadata}
+    return _report(outdir, "solve", "per_mode_variance", report, artifacts)
 
 
 def _cmd_factorize(cfg, outdir):
-    mdl, gr, mc, prm = cfg["model"], cfg["grids"], cfg["mc"], cfg["params"]
-    model = build_model(mdl["L"], mdl["m"], mdl["modes"], mdl["nodes"])
-    noise = _noise_from(cfg, model)
-    grid = TimeGrid.regular(gr["T"], gr["n_steps"])
-    family, params = _driver_params(cfg)
-    driver = simulate_cylindrical(family, params, model.modes, grid,
-                                  mc["replicas"], mc["seed"])
-    direct = solve_mild(model, noise, driver, None, grid, gr["refinement"])
-    recon = factorization_reconstruct(model, noise, driver, prm["beta"],
-                                      prm["delta"], grid, prm["alpha"])
-    a = direct.mode_paths[:, :, -1]
-    b = recon.mode_paths[:, :, -1]
-    rel = float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1))
-                        / np.mean(np.sum(a * a, axis=1))))
-    pi_val = factorization_constant_check(0.5, 0.3 * grid.T, grid.T)
-    pi_err = abs(pi_val / np.pi - 1.0)
-    ok = rel < 0.03 and pi_err <= 1e-6
-    report = {"beta": prm["beta"], "delta": prm["delta"],
-              "relative_l2_error": rel, "pi_identity_value": pi_val,
-              "pi_identity_rel_error": pi_err, "round_trip_ok": ok}
-    _write_json(os.path.join(outdir, "factorize.json"), report)
-    return {"factorization": ok}, ["factorize.json"], report
+    gr, mc, prm = cfg["grids"], cfg["mc"], cfg["params"]
+    model, noise, grid = _problem(cfg)
+    report = _factorization_check(
+        model, noise, *_driver_params(cfg), grid, mc["replicas"], mc["seed"],
+        gr["refinement"], prm["alpha"], [(prm["beta"], prm["delta"])])
+    return _report(outdir, "factorize", "factorization", report)
 
 
 def _cmd_regularity(cfg, outdir):
     mdl, gr, mc, prm = cfg["model"], cfg["grids"], cfg["mc"], cfg["params"]
-    model = build_model(mdl["L"], mdl["m"], mdl["modes"], mdl["nodes"])
-    noise = _noise_from(cfg, model)
-    grid = TimeGrid.regular(gr["T"], gr["n_steps"])
+    model, noise, grid = _problem(cfg)
     family, params = _driver_params(cfg)
-    delta = prm["delta"]
-    vg = field_variogram(model, noise, family, params, grid,
-                         max(mc["replicas"], 1000), mc["seed"],
-                         lags=gr["lags"], deltas=(delta,),
-                         refinement=gr["refinement"])[0]
     # gamma-hat needs the semigroup tail resolved at the smallest probe
     # time; a small field model would bias the decay flat, so the probe
     # uses at least 256 modes unless the noise pins the mode count
@@ -406,28 +472,26 @@ def _cmd_regularity(cfg, outdir):
     else:
         probe_model = build_model(mdl["L"], mdl["m"], 256, 1024)
         probe_noise = _noise_from(cfg, probe_model)
-    decay = estimate_gamma_decay(probe_model, probe_noise, cfg["noise"]["p"],
-                                 np.geomspace(1e-4, 1e-2, 13),
-                                 alpha=prm["alpha"])
-    case = "pointwise" if noise.kind == "pointwise" else "generic"
-    hp = HolderParameters(alpha=prm["alpha"], gamma=decay["gamma_hat"],
-                          delta=delta, beta=prm["beta"], p=cfg["noise"]["p"],
-                          nu=prm["nu"])
-    report = regularity_verdict(vg, hp, case,
-                                config={"model": mdl, "noise": cfg["noise"],
-                                        "grid": {"T": gr["T"],
-                                                 "n_steps": gr["n_steps"]},
-                                        "delta": delta, "family": family,
-                                        "replicas": max(mc["replicas"], 1000),
-                                        "gamma_hat": decay["gamma_hat"]})
+    gamma_hat = estimate_gamma_decay(probe_model, probe_noise,
+                                     cfg["noise"]["p"], _U_GRID,
+                                     alpha=prm["alpha"])["gamma_hat"]
+    replicas = max(mc["replicas"], 1000)
+    [(vg, report)] = _regularity_check(
+        model, noise, family, params, grid, replicas, mc["seed"],
+        gamma=gamma_hat, alpha=prm["alpha"], beta=prm["beta"],
+        p=cfg["noise"]["p"], deltas=(prm["delta"],), lags=gr["lags"],
+        refinement=gr["refinement"])
+    report = dataclasses.replace(report, config={
+        "model": mdl, "noise": cfg["noise"],
+        "grid": {"T": gr["T"], "n_steps": gr["n_steps"]},
+        "delta": prm["delta"], "family": family, "replicas": replicas,
+        "gamma_hat": gamma_hat})
     report.to_json(os.path.join(outdir, "regularity_report.json"))
     artifacts = ["regularity_report.json"]
     if "csv" in cfg["output"]["formats"]:
         _variogram_csv(os.path.join(outdir, "variogram.csv"), vg)
         artifacts.append("variogram.csv")
-    detail = {"measured": report.measured_exponent, "se": report.measured_se,
-              "predicted": report.predicted_bound, "verdict": report.verdict}
-    return {"regularity": report.verdict}, artifacts, detail
+    return {"regularity": report.verdict}, artifacts
 
 
 def _cmd_full_suite(cfg, outdir):
@@ -436,7 +500,7 @@ def _cmd_full_suite(cfg, outdir):
     _write_json(os.path.join(outdir, "suite_manifest.json"), manifest)
     verdicts = {f"criterion_{c['criterion']}": c["passed"]
                 for c in manifest["criteria"]}
-    return verdicts, ["suite_manifest.json"], {"all_passed": manifest["all_passed"]}
+    return verdicts, ["suite_manifest.json"]
 
 
 _HANDLERS = {
@@ -453,14 +517,16 @@ _HANDLERS = {
 
 def run(cfg: dict) -> int:
     """Validate, execute, and write artifacts plus a manifest."""
-    outdir = cfg["output"]["directory"] or os.environ.get(
-        _ENV_OUTDIR, "volterra_spde_out")
+    outdir = cfg["output"]["directory"]
+    if not (outdir and isinstance(outdir, str)):
+        # a wrong-typed directory is reported in the default one
+        outdir = os.environ.get(_ENV_OUTDIR, "volterra_spde_out")
     os.makedirs(outdir, exist_ok=True)
     started = time.perf_counter()
     try:
         validate_config(cfg)
-        verdicts, artifacts, _ = _HANDLERS[cfg["command"]](cfg, outdir)
-    except (ConfigurationError, ParameterError, AdmissibilityError) as exc:
+        verdicts, artifacts = _HANDLERS[cfg["command"]](cfg, outdir)
+    except (ConfigurationError, ParameterError, AlignmentError) as exc:
         # library preconditions the validator does not restate land here too
         _write_json(os.path.join(outdir, "error.json"),
                     {"error": type(exc).__name__, "message": str(exc)})
@@ -524,29 +590,14 @@ def _crit_kernel_covariance(seed, scale, c_h_scale: float = 1.0):
 
 
 def _crit_isometry(seed, scale):
-    H = 0.75
-    kern = make_fbm_kernel(H)
-    grid = TimeGrid.regular(1.0, 256)
     reps = max(2000, int(round(10000 * scale)))
     n_phi = 20 if scale >= 1 else 8
-    ens = simulate_fbm(H, grid, replicas=reps, seed=child_seed(seed, STREAM_TEST, 2))
-    rng = np.random.default_rng(child_seed(seed, STREAM_TEST, 2, 1))
-    worst_z = worst_cross = 0.0
-    passed = True
-    for _ in range(n_phi):
-        phi = random_step_function(1.0, int(rng.integers(3, 9)), rng,
-                                   times=grid.points)
-        norms = compute_norms(phi, kern)
-        I = elementary_integral(phi, ens)
-        mc_var = float(np.mean(I * I))
-        se = float(np.std(I * I) / np.sqrt(I.size))
-        z = abs(mc_var - norms.isometry_norm_sq) / se
-        cross = abs(norms.isometry_norm_sq / norms.fbm_inner_sq - 1.0)
-        worst_z, worst_cross = max(worst_z, z), max(worst_cross, cross)
-        passed &= z <= 3.0 and cross <= 1e-3
-    return {"criterion": 2, "name": "isometry", "passed": bool(passed),
+    chk = _isometry_check(0.75, TimeGrid.regular(1.0, 256), reps, n_phi, seed)
+    return {"criterion": 2, "name": "isometry", "passed": chk["ok"],
             "details": {"replicas": reps, "n_phi": n_phi,
-                        "worst_z": worst_z, "worst_cross_rel": worst_cross}}
+                        "zero_phi": chk["checks"][0], "worst_z": chk["worst_z"],
+                        "worst_cross_rel": chk["worst_cross_rel"],
+                        "margin": chk["margin"]}}
 
 
 def _crit_rosenblatt(seed, scale, include_diagonal: bool = False):
@@ -559,15 +610,8 @@ def _crit_rosenblatt(seed, scale, include_diagonal: bool = False):
     z = sampler.draw(reps, child_seed(seed, STREAM_TEST, 3),
                      include_diagonal=include_diagonal)
     zT = z[:, -1]
-    m2 = float(np.mean(zT * zT))
-    se2 = float(np.std(zT * zT) / np.sqrt(reps))
-    var_ok = abs(m2 - 1.0) <= max(3.0 * se2, 0.02)
-    ts = grid.points[1:]
-    emp = z[:, 1:].T @ z[:, 1:] / reps
-    exact = fbm_covariance_closed_form(Hp, ts[:, None], ts[None, :])
-    se_entry = np.sqrt(np.var(z[:, 1:, None] * z[:, None, 1:], axis=0) / reps)
-    cov_ok = bool(np.all(np.abs(emp - exact)
-                         <= np.maximum(3.0 * se_entry, 0.02 * exact)))
+    var = _variance_check(zT, 1.0)
+    cov = _covariance_check(z[:, 1:], grid.points[1:], Hp)
     m3 = float(np.mean(zT ** 3))
     se3 = float(np.std(zT ** 3) / np.sqrt(reps))
     oracle3 = third_moment_oracle(Hp, T, inner=1024, trunc=2.0e5)
@@ -575,12 +619,14 @@ def _crit_rosenblatt(seed, scale, include_diagonal: bool = False):
     drifts = sampler.convergence_drifts if certify else None
     cert_ok = True if not certify else all(
         abs(v) < 0.02 for v in drifts.values())
-    passed = var_ok and cov_ok and third_ok and cert_ok
+    passed = var["ok"] and cov["ok"] and third_ok and cert_ok
     return {"criterion": 3, "name": "rosenblatt_construction",
             "passed": bool(passed),
-            "details": {"replicas": reps, "second_moment": m2,
-                        "second_moment_se": se2, "variance_ok": var_ok,
-                        "covariance_ok": cov_ok, "third_moment": m3,
+            "details": {"replicas": reps, "second_moment": var["mc_var"],
+                        "second_moment_se": var["se"], "variance_ok": var["ok"],
+                        "variance_margin": var["margin"],
+                        "covariance_ok": cov["ok"],
+                        "covariance_margin": cov["margin"], "third_moment": m3,
                         "third_moment_oracle": oracle3, "third_ok": third_ok,
                         "include_diagonal": include_diagonal,
                         "certificates": drifts, "certificates_ok": cert_ok}}
@@ -619,7 +665,6 @@ def _crit_hypercontractivity(seed, scale, replicas=None):
 def _crit_gamma_decay(seed, scale):
     modes = 384 if scale >= 1 else 192
     model = build_model(np.pi, 1, modes, 4 * modes)
-    u_grid = np.geomspace(1e-4, 1e-2, 13)
     cases = (
         ("diagonal_p2", NoiseOperator(kind="diagonal", phi_k=np.ones(modes)),
          2.0, 0.25),
@@ -630,11 +675,12 @@ def _crit_gamma_decay(seed, scale):
     )
     per_case, passed = {}, True
     for name, noise, p, target in cases:
-        res = estimate_gamma_decay(model, noise, p, u_grid, alpha=0.25)
-        ok = (abs(res["gamma_hat"] - target) <= 0.03
-              and res["r_squared"] >= 0.99 and res["admissible"])
-        per_case[name] = {"gamma_hat": res["gamma_hat"], "target": target,
-                          "r_squared": res["r_squared"], "ok": ok}
+        chk = _gamma_decay_check(model, noise, p, alpha=0.25)
+        miss = abs(chk["gamma_hat"] - target)
+        ok = chk["ok"] and miss <= 0.03
+        per_case[name] = {"gamma_hat": chk["gamma_hat"], "target": target,
+                          "r_squared": chk["r_squared"],
+                          "margin": max(chk["margin"], miss / 0.03), "ok": ok}
         passed &= ok
     return {"criterion": 5, "name": "gamma_decay", "passed": bool(passed),
             "details": {"modes": modes, "per_case": per_case}}
@@ -652,21 +698,10 @@ def _crit_mild_solution(seed, scale):
             params = ({"H": H} if fam == "fbm"
                       else {"Hp": H, "trunc": 2.0e5, "inner": 1024,
                             "check": False, "recolor": True})
-            drv = simulate_cylindrical(fam, params, 16, grid, reps,
-                                       child_seed(seed, STREAM_TEST, 6, jh))
-            field = solve_mild(model, noise, drv, None, grid, refinement=256)
-            worst = 0.0
-            ok = True
-            for k in (0, 3, 15):
-                x = field.mode_paths[:, k, -1]
-                mc_var = float(np.mean(x * x))
-                oracle = per_mode_variance_oracle(model.eigenvalues[k], 1.0, H)
-                se = float(np.std(x * x) / np.sqrt(reps))
-                tol = max(3.0 * se, 0.02 * oracle)
-                worst = max(worst, abs(mc_var - oracle) / tol)
-                ok &= abs(mc_var - oracle) <= tol
-            per_combo[f"{fam}_H{H:g}"] = {"worst_dev_over_tol": worst, "ok": ok}
-            passed &= ok
+            _, rows = _solve_check(model, noise, fam, params, grid, reps,
+                                   child_seed(seed, STREAM_TEST, 6, jh), 256, H)
+            combo = per_combo[f"{fam}_H{H:g}"] = _worst(rows)
+            passed &= combo["ok"]
     zero = NoiseOperator(kind="diagonal", phi_k=np.zeros(16))
     drv = simulate_cylindrical("fbm", {"H": 0.75}, 16, grid, 4,
                                child_seed(seed, STREAM_TEST, 6, 1))
@@ -685,37 +720,19 @@ def _crit_factorization(seed, scale):
     grid = TimeGrid.regular(1.0, 1024)
     reps = max(100, int(round(400 * scale)))
     noise = NoiseOperator(kind="diagonal", phi_k=np.ones(16))
-    driver = simulate_cylindrical("fbm", {"H": 0.75}, 16, grid, reps,
-                                  child_seed(seed, STREAM_TEST, 7))
-    direct = solve_mild(model, noise, driver, None, grid, refinement=64)
-    a = direct.mode_paths[:, :, -1]
-    denom = float(np.mean(np.sum(a * a, axis=1)))
     combos = [(0.1, 0.0), (0.1, 0.2), (0.2, 0.0), (0.2, 0.2)]
     if scale < 1:
         combos = [(0.1, 0.0), (0.2, 0.2)]
-    per_combo, passed = {}, True
-    for beta, delta in combos:
-        recon = factorization_reconstruct(model, noise, driver, beta, delta,
-                                          grid, alpha=0.25)
-        b = recon.mode_paths[:, :, -1]
-        rel = float(np.sqrt(np.mean(np.sum((a - b) ** 2, axis=1)) / denom))
-        ok = rel < 0.03
-        per_combo[f"beta{beta:g}_delta{delta:g}"] = {"rel_error": rel, "ok": ok}
-        passed &= ok
-    pi_val = factorization_constant_check(0.5, 0.3, 1.0)
-    pi_err = abs(pi_val / np.pi - 1.0)
-    pi_ok = pi_err <= 1e-6
-    passed &= pi_ok
-    return {"criterion": 7, "name": "factorization", "passed": bool(passed),
-            "details": {"replicas": reps, "per_combo": per_combo,
-                        "pi_identity_rel_error": pi_err, "pi_ok": pi_ok}}
+    chk = _factorization_check(model, noise, "fbm", {"H": 0.75}, grid, reps,
+                               child_seed(seed, STREAM_TEST, 7), 64, 0.25,
+                               combos)
+    return {"criterion": 7, "name": "factorization", "passed": chk.pop("ok"),
+            "details": dict(chk, replicas=reps)}
 
 
 def _crit_regularity(seed, scale):
-    from .regularity import default_bases, default_lags
     reps = max(1000, int(round(1000 * scale)))
     per_case, passed = {}, True
-    u_grid = np.geomspace(1e-4, 1e-2, 13)
 
     if scale >= 1:
         n_abs, modes_abs = 4096, 192
@@ -724,40 +741,36 @@ def _crit_regularity(seed, scale):
     model = build_model(np.pi, 1, modes_abs, 4 * modes_abs)
     noise = NoiseOperator(kind="diagonal", phi_k=np.ones(modes_abs))
     grid = TimeGrid.regular(1.0, n_abs)
-    lags = default_lags(n_abs)
-    bases = default_bases(n_abs, max(lags))
-    gamma_hat = estimate_gamma_decay(model, noise, 2.0, u_grid,
+    gamma_hat = estimate_gamma_decay(model, noise, 2.0, _U_GRID,
                                      alpha=0.25)["gamma_hat"]
-    vg = field_variogram(model, noise, "fbm", {"H": 0.75}, grid, reps,
-                         child_seed(seed, STREAM_TEST, 8), lags=lags,
-                         bases=bases, deltas=(0.0, 0.2), refinement=256)
-    for res, target in zip(vg, (0.5, 0.3)):
+    checks = _regularity_check(model, noise, "fbm", {"H": 0.75}, grid, reps,
+                               child_seed(seed, STREAM_TEST, 8), gamma=gamma_hat,
+                               alpha=0.25, deltas=(0.0, 0.2))
+    for (res, rep), target in zip(checks, (0.5, 0.3)):
         d = res["delta"]
-        oracle = oracle_variogram_exponent(model, noise, 0.75, grid, lags,
-                                           bases, delta=d)["exponent"]
-        hp = HolderParameters(alpha=0.25, gamma=gamma_hat, delta=d)
-        rep = regularity_verdict(res, hp, "generic", oracle_exponent=oracle)
-        ok = rep.verdict and abs(res["exponent"] - target) <= 0.05
+        oracle = oracle_variogram_exponent(model, noise, 0.75, grid,
+                                           delta=d)["exponent"]
+        miss = abs(res["exponent"] - target)
+        ok = rep.verdict and miss <= 0.05
         per_case[f"distributed_delta{d:g}"] = {
             "measured": res["exponent"], "se": res["se"], "target": target,
-            "oracle": oracle, "predicted": rep.predicted_bound, "ok": ok}
+            "oracle": oracle, "predicted": rep.predicted_bound,
+            "margin": max(rep.margin, miss / 0.05), "ok": ok}
         passed &= ok
 
     n_pt, modes_pt = (2048, 64) if scale >= 1 else (1024, 32)
     model_pt = build_model(np.pi, 1, modes_pt, 4 * modes_pt)
     noise_pt = NoiseOperator(kind="pointwise", z=np.pi / 2.0)
     grid_pt = TimeGrid.regular(1.0, n_pt)
-    gam_pt = estimate_gamma_decay(model_pt, noise_pt, 2.0, u_grid,
+    gam_pt = estimate_gamma_decay(model_pt, noise_pt, 2.0, _U_GRID,
                                   alpha=0.25)["gamma_hat"]
-    vg_pt = field_variogram(model_pt, noise_pt, "fbm", {"H": 0.75}, grid_pt,
-                            reps, child_seed(seed, STREAM_TEST, 8, 1),
-                            refinement=256)[0]
-    hp_pt = HolderParameters(alpha=0.25, gamma=gam_pt, p=2.0)
-    rep_pt = regularity_verdict(vg_pt, hp_pt, "pointwise")
+    [(vg_pt, rep_pt)] = _regularity_check(
+        model_pt, noise_pt, "fbm", {"H": 0.75}, grid_pt, reps,
+        child_seed(seed, STREAM_TEST, 8, 1), gamma=gam_pt, alpha=0.25)
     per_case["pointwise_p2"] = {
         "measured": vg_pt["exponent"], "se": vg_pt["se"],
-        "predicted": rep_pt.predicted_bound, "ok": rep_pt.verdict,
-        "extras": rep_pt.extras}
+        "predicted": rep_pt.predicted_bound, "margin": rep_pt.margin,
+        "ok": rep_pt.verdict, "extras": rep_pt.extras}
     passed &= rep_pt.verdict
 
     if scale >= 1:
@@ -886,7 +899,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="volterra-spde",
         description="Volterra-driven SPDE simulation and verification suite")
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_HANDLERS)
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--set", action="append", default=[], metavar="K=V",
                         dest="overrides",

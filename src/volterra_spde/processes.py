@@ -51,6 +51,7 @@ __all__ = [
     "simulate_fbm",
     "simulate_rosenblatt",
     "third_moment_oracle",
+    "make_sampler",
     "simulate_cylindrical",
 ]
 
@@ -518,6 +519,23 @@ def third_moment_oracle(Hp: float, t: float, inner: int = 1024,
 # cylindrical stacks
 # ---------------------------------------------------------------------------
 
+def make_sampler(family: str, params: dict, grid: TimeGrid):
+    """The sampler of one driver family on ``grid`` and its family stream id.
+
+    fBm reads ``params["H"]``; Rosenblatt reads ``params["Hp"]`` and the
+    optional trunc, inner (1024), check (on) and recolor (off).
+    """
+    if family == "fbm":
+        return FbmSampler(params["H"], grid), STREAM_FBM
+    if family == "rosenblatt":
+        sampler = RosenblattSampler(params["Hp"], grid, trunc=params.get("trunc"),
+                                    inner=params.get("inner", 1024),
+                                    check=params.get("check", True),
+                                    recolor=params.get("recolor", False))
+        return sampler, STREAM_ROSENBLATT
+    raise ParameterError(f"unknown process family {family!r}")
+
+
 def simulate_cylindrical(family: str, params: dict, modes: int, grid: TimeGrid,
                          replicas: int, seed: int) -> CylindricalEnsemble:
     """``modes`` independent scalar ensembles of one family.
@@ -528,18 +546,7 @@ def simulate_cylindrical(family: str, params: dict, modes: int, grid: TimeGrid,
     """
     if modes < 1:
         raise ParameterError(f"modes must be >= 1, got {modes}")
-    if family == "fbm":
-        sampler = FbmSampler(params["H"], grid)
-        family_stream = STREAM_FBM
-    elif family == "rosenblatt":
-        sampler = RosenblattSampler(params["Hp"], grid,
-                                    trunc=params.get("trunc"),
-                                    inner=params.get("inner", 1024),
-                                    check=params.get("check", True),
-                                    recolor=params.get("recolor", False))
-        family_stream = STREAM_ROSENBLATT
-    else:
-        raise ParameterError(f"unknown process family {family!r}")
+    sampler, family_stream = make_sampler(family, params, grid)
     coords = []
     for n in range(modes):
         values = sampler.draw(replicas, seed, STREAM_CYLINDRICAL, family_stream, n)

@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, TruncationError
-from .processes import (FbmSampler, PathEnsemble, RosenblattSampler, TimeGrid)
-from .seeding import STREAM_CYLINDRICAL, STREAM_FBM, STREAM_ROSENBLATT
+from .processes import PathEnsemble, TimeGrid, make_sampler
+from .seeding import STREAM_CYLINDRICAL
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
                    mode_convolution)
 from .wiener_integral import uniform_fbm_quadratic_form
@@ -70,6 +70,7 @@ class RegularityReport:
     predicted_bound: float
     formula: str
     verdict: bool
+    margin: float
     oracle_exponent: float | None = None
     config: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
@@ -81,6 +82,7 @@ class RegularityReport:
             "predicted_bound": self.predicted_bound,
             "formula": self.formula,
             "verdict": self.verdict,
+            "margin": self.margin,
             "oracle_exponent": self.oracle_exponent,
             "config": self.config,
             "extras": self.extras,
@@ -117,6 +119,19 @@ def default_bases(n_steps: int, max_lag: int) -> list[int]:
     """
     return list(range(n_steps // 2, n_steps - max_lag - 1,
                       max(1, n_steps // 8)))[:5]
+
+
+def _lag_set(n_steps: int, lags, bases) -> tuple[list[int], list[int]]:
+    """Lags (>= 4) and bases, defaulted, checked to fit ``n_steps``."""
+    lags = default_lags(n_steps) if lags is None else list(lags)
+    if len(lags) < 4:
+        raise ParameterError(f"need >= 4 usable lags, got {len(lags)}")
+    bases = default_bases(n_steps, max(lags)) if bases is None else list(bases)
+    if not bases or min(lags) < 1 or min(bases) < 0 \
+            or max(bases) + max(lags) > n_steps:
+        raise ParameterError(
+            f"lags {lags} with bases {bases} do not fit {n_steps} steps")
+    return lags, bases
 
 
 def _fit_exponent(h: np.ndarray, D: np.ndarray, D_se: np.ndarray) -> tuple[float, float]:
@@ -169,10 +184,7 @@ def variogram_exponent(data, norm: str = "scalar", lags: list[int] | None = None
         times = data.grid.points
     else:
         raise ParameterError(f"unsupported data type {type(data).__name__}")
-    lags = default_lags(n_steps) if lags is None else list(lags)
-    if len(lags) < 4:
-        raise ParameterError(f"need >= 4 usable lags, got {len(lags)}")
-    bases = default_bases(n_steps, max(lags)) if bases is None else list(bases)
+    lags, bases = _lag_set(n_steps, lags, bases)
     n_rep = data.values.shape[0] if isinstance(data, PathEnsemble) else data.replicas
     if n_rep < 1000:
         raise ParameterError(f"need >= 1000 replicas, got {n_rep}")
@@ -226,24 +238,10 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
     Only p = 2 norms are mode-separable; ``deltas`` lists the V_{delta,2}
     weights to accumulate in the same pass (delta = 0 is the L^2 norm).
     """
-    lags = default_lags(grid.n_steps) if lags is None else list(lags)
-    if len(lags) < 4:
-        raise ParameterError(f"need >= 4 usable lags, got {len(lags)}")
-    bases = default_bases(grid.n_steps, max(lags)) if bases is None else list(bases)
+    lags, bases = _lag_set(grid.n_steps, lags, bases)
     if replicas < 1000:
         raise ParameterError(f"need >= 1000 replicas, got {replicas}")
-    if family == "fbm":
-        sampler = FbmSampler(params["H"], grid)
-        family_stream = STREAM_FBM
-    elif family == "rosenblatt":
-        sampler = RosenblattSampler(params["Hp"], grid,
-                                    trunc=params.get("trunc"),
-                                    inner=params.get("inner", 1024),
-                                    check=params.get("check", False),
-                                    recolor=params.get("recolor", False))
-        family_stream = STREAM_ROSENBLATT
-    else:
-        raise ParameterError(f"unknown process family {family!r}")
+    sampler, family_stream = make_sampler(family, params, grid)
     c = noise.mode_coefficients(model)
     lam = model.eigenvalues
     pairs = [(b, lag) for lag in lags for b in bases]
@@ -346,10 +344,7 @@ def oracle_variogram_exponent(model: SpectralModel, noise: NoiseOperator,
                               bases: list[int] | None = None,
                               delta: float = 0.0, n_cells: int = 4096) -> dict:
     """Slope of the exact increment second moments over the same lag set."""
-    lags = default_lags(grid.n_steps) if lags is None else list(lags)
-    if len(lags) < 4:
-        raise ParameterError(f"need >= 4 usable lags, got {len(lags)}")
-    bases = default_bases(grid.n_steps, max(lags)) if bases is None else list(bases)
+    lags, bases = _lag_set(grid.n_steps, lags, bases)
     times = grid.points
     h = np.array([times[lag] for lag in lags])
     D = np.array([
@@ -401,7 +396,8 @@ def regularity_verdict(measured, params, case: str,
     ``measured`` is a field/ensemble (then :func:`variogram_exponent`
     runs with defaults) or a result dict from one of the estimators.
     A measured exponent at or above 1 marks the saturated (smooth) case,
-    which passes regardless of the bound.
+    which passes regardless of the bound.  The report's ``margin`` is
+    (bound - 0.02 - measured) / (2 SE), 0 when saturated; <= 1 passes.
     """
     get = (lambda k, d=None: params.get(k, d)) if isinstance(params, dict) \
         else (lambda k, d=None: getattr(params, k, d))
@@ -426,12 +422,15 @@ def regularity_verdict(measured, params, case: str,
         extras["saturated"] = True
     verdict = saturated or (measured["exponent"] + 2.0 * measured["se"]
                             >= bound - 0.02)
+    margin = 0.0 if saturated else \
+        (bound - 0.02 - measured["exponent"]) / (2.0 * measured["se"])
     return RegularityReport(
         measured_exponent=float(measured["exponent"]),
         measured_se=float(measured["se"]),
         predicted_bound=bound,
         formula=_FORMULAS[case],
         verdict=bool(verdict),
+        margin=float(margin),
         oracle_exponent=None if oracle_exponent is None else float(oracle_exponent),
         config=dict(config or {}),
         extras=extras,

@@ -117,7 +117,7 @@ def build_model(L: float, m: int, modes: int, nodes: int) -> SpectralModel:
     E = np.sqrt(2.0 / L) * np.sin(k[:, None] * np.pi * x[None, :] / L)
     gram = (E * w[None, :]) @ E.T
     err = np.max(np.abs(gram - np.eye(modes)))
-    if err > 1e-6:
+    if not err <= 1e-6:                     # NaN from a non-finite L fails too
         raise ConfigurationError(
             f"eigenfunctions not orthonormal on the node quadrature: "
             f"max Gram deviation {err:.2e} (modes={modes}, nodes={nodes})")
@@ -165,14 +165,13 @@ class NoiseOperator:
 
 @dataclass(frozen=True)
 class HolderParameters:
-    """The exponent bundle (alpha, gamma, delta, beta, p, nu)."""
+    """The exponent bundle (alpha, gamma, delta, beta, p)."""
 
     alpha: float
     gamma: float = 0.0
     delta: float = 0.0
     beta: float = 0.0
     p: float = 2.0
-    nu: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 0.5:
@@ -279,6 +278,8 @@ def exp_convolution_weight(lam: float, dt, refinement: int | None):
     ``refinement=None`` gives the cell-mean limit (1 - e^{-lam dt})/(lam dt).
     Vectorized over dt; returns 1 where lam * dt is negligible.
     """
+    if refinement is not None and refinement < 1:
+        raise ParameterError(f"refinement must be >= 1, got {refinement}")
     dt = np.asarray(dt, dtype=float)
     x = lam * dt
     out = np.ones_like(x)

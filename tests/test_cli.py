@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_spde.cli import (DEFAULT_SEED, apply_override, config_hash,
                                main, parse_config, run, serialize_config,
@@ -86,6 +88,8 @@ def test_validation_names_the_inequality():
         validate_config(_cfg('noise.kind="white"'))
     with pytest.raises(ParameterError, match="nodes"):
         validate_config(_cfg("model.modes=300"))
+    with pytest.raises(ConfigurationError, match="orthonormal"):
+        validate_config(_cfg("model.L=Infinity"))
     # factorize pulls in the exponent bundle constraints
     with pytest.raises(ParameterError, match="beta"):
         validate_config(_cfg('command="factorize"', "params.beta=0.7",
@@ -112,16 +116,28 @@ def test_run_invalid_config_exits_2(tmp_path):
     (['driver.family="rosenblatt"', "driver.inner=8"], "inner resolution"),
 ])
 def test_run_handler_precondition_exits_2(tmp_path, overrides, message):
-    # the validator passes these; the library objects the handler builds
-    # refuse them, and that is still a configuration error
+    # library preconditions: the validator builds the model and noise
+    # coefficients, the handler builds the sampler; either refusal is a
+    # configuration error
     cfg = _cfg('command="solve"', "mc.replicas=10", "grids.n_steps=16",
                *overrides, f"output.directory={tmp_path}")
-    validate_config(cfg)
     assert run(cfg) == 2
     err = json.loads((tmp_path / "error.json").read_text())
     assert err["error"] == "ParameterError"
     assert message in err["message"]
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command, override, error", [
+    ("solve", 'driver.H="abc"', "ConfigurationError"),
+    ("solve", "mc.replicas=2.5", "ConfigurationError"),
+    ("gamma-decay", "noise.phi_rule=[1.0, 0.5]", "AlignmentError"),
+])
+def test_run_wrong_type_or_length_exits_2(tmp_path, command, override, error):
+    cfg = _cfg(f'command="{command}"', "mc.replicas=10", "grids.n_steps=16",
+               override, f"output.directory={tmp_path}")
+    assert run(cfg) == 2
+    assert json.loads((tmp_path / "error.json").read_text())["error"] == error
 
 
 def test_run_simulate_writes_manifest_and_ensemble(tmp_path):
@@ -141,7 +157,7 @@ def test_run_simulate_writes_manifest_and_ensemble(tmp_path):
     assert ens.values.shape == (500, 129)
     assert np.all(ens.values[:, 0] == 0.0)
     check = json.loads((tmp_path / "covariance_check.json").read_text())
-    assert check["covariance_ok"]
+    assert check["ok"] and check["margin"] <= 1.0
 
 
 def test_run_truncation_failure_exits_3(tmp_path):
@@ -171,12 +187,72 @@ def test_run_failed_verdict_exits_4(tmp_path):
     assert abs(report["gamma_hat"]) < 0.05
 
 
+@pytest.mark.parametrize("command, overrides", [
+    ("isometry", ["mc.replicas=2000", "grids.n_steps=64"]),
+    ("factorize", ["model.modes=16", "model.nodes=64", "mc.replicas=50",
+                   "grids.n_steps=256"]),
+    ("regularity", ["model.modes=16", "model.nodes=64", "grids.n_steps=256"]),
+    ("solve", ["model.modes=16", "model.nodes=64", "mc.replicas=200",
+               "grids.n_steps=64"]),
+    ("gamma-decay", []),
+])
+def test_command_runs_its_check_at_config_sizes(tmp_path, command, overrides):
+    cfg = _cfg(f'command="{command}"', *overrides,
+               f"output.directory={tmp_path}")
+    assert run(cfg) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert all((tmp_path / name).exists() for name in manifest["artifacts"])
+    reports = [json.loads((tmp_path / name).read_text())
+               for name in manifest["artifacts"] if name.endswith(".json")]
+    assert reports
+    for report in reports:
+        assert report["margin"] <= 1.0
+        rows = report.get("checks", list(report.get("per_combo", {}).values()))
+        assert all("margin" in row for row in rows)
+
+
+def test_removed_nu_leaf_is_unknown(tmp_path):
+    assert main(["solve", "--set", "params.nu=0.4",
+                 "--output", str(tmp_path)]) == 2
+
+
+_LEAVES = ["command"] + [f"{section}.{key}"
+                         for section, leaves in parse_config("").items()
+                         if isinstance(leaves, dict) for key in leaves
+                         if f"{section}.{key}" != "output.directory"]
+_WRONG_VALUES = st.one_of(
+    st.text(max_size=4), st.sampled_from(["rosenblatt", "pointwise", "zero"]),
+    st.floats(-10.0, 10.0), st.integers(-10, 10), st.booleans(), st.none(),
+    st.lists(st.integers(-10, 10) | st.floats(-10.0, 10.0), max_size=2))
+
+
+@given(path=st.sampled_from(_LEAVES), value=_WRONG_VALUES)
+@settings(max_examples=25, deadline=None)
+def test_any_single_override_keeps_the_exit_code_contract(tmp_path_factory,
+                                                         path, value):
+    # a wrong-typed or out-of-range leaf ends in a documented exit code,
+    # never in an exception escaping run()
+    outdir = tmp_path_factory.mktemp("override")
+    cfg = _cfg('command="solve"', "model.modes=4", "model.nodes=16",
+               "mc.replicas=20", "grids.n_steps=16",
+               f"output.directory={outdir}")
+    apply_override(cfg, f"{path}={json.dumps(value)}")
+    code = run(cfg)
+    assert code in (0, 2, 3, 4)
+    if code in (2, 3):
+        assert (outdir / "error.json").exists()
+
+
 def test_output_directory_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv("VOLTERRA_SPDE_OUTPUT", str(tmp_path / "envdir"))
     cfg = _cfg("driver.H=1.3")
     assert cfg["output"]["directory"] is None
     assert run(cfg) == 2
     assert (tmp_path / "envdir" / "error.json").exists()
+    # a directory of the wrong type is itself reported there
+    assert run(_cfg("output.directory=5")) == 2
+    err = json.loads((tmp_path / "envdir" / "error.json").read_text())
+    assert "output.directory" in err["message"]
 
 
 # ---------------------------------------------------------------------------

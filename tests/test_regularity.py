@@ -89,6 +89,9 @@ def test_rosenblatt_sampler_exponent(grid_512):
 def test_estimator_validation(grid_512, fbm_ens_075):
     with pytest.raises(ParameterError):
         variogram_exponent(fbm_ens_075, lags=[4, 8, 16])
+    for lags in ([4, 8, 16, 600], [0, 4, 8, 16], [-4, 8, 16, 32]):
+        with pytest.raises(ParameterError, match="do not fit"):
+            variogram_exponent(fbm_ens_075, lags=lags)
     small = PathEnsemble(grid=grid_512,
                          values=np.zeros((10, 513)), family="fbm",
                          params={"H": 0.75}, seed=0)
