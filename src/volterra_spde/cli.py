@@ -310,6 +310,8 @@ def _isometry_check(H: float, grid: TimeGrid, replicas: int, n_phi: int,
     """E I(phi)^2 against the isometry norm within 3 SE, and that norm
     against the direct fBm inner product within 1e-3, for phi = 0 and
     ``n_phi`` random step functions."""
+    if n_phi < 1:
+        raise ParameterError(f"mc.n_phi={n_phi}: need n_phi >= 1 random integrands")
     kern = make_fbm_kernel(H)
     ens = simulate_fbm(H, grid, replicas, child_seed(seed, STREAM_TEST, 2))
     rng = np.random.default_rng(child_seed(seed, STREAM_TEST, 2, 1))

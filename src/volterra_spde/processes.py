@@ -40,7 +40,7 @@ from .errors import NumericError, ParameterError, TruncationError
 from .kernels import fbm_covariance_closed_form
 from .quadrature import panels_from_edges
 from .seeding import (STREAM_CYLINDRICAL, STREAM_FBM, STREAM_ROSENBLATT,
-                      substream)
+                      child_seeds, rekey, substream)
 
 __all__ = [
     "TimeGrid",
@@ -128,21 +128,38 @@ class PathEnsemble:
 
     def to_csv(self, path: str) -> None:
         """Columnar (replica, time, value) rows, 17 significant digits."""
-        times = self.grid.points
+        fmt = "{:.17g}".format
+        mids = [f",{t}," for t in map(fmt, self.grid.points.tolist())]
         with open(path, "w") as fh:
             fh.write("replica,time,value\n")
-            for r in range(self.replicas):
-                row = self.values[r]
-                for j in range(times.size):
-                    fh.write(f"{r:d},{times[j]:.17g},{row[j]:.17g}\n")
+            for r, row in enumerate(self.values.tolist()):
+                fh.write("".join([f"{r}{m}{v}\n"
+                                  for m, v in zip(mids, map(fmt, row))]))
 
     @classmethod
     def from_csv(cls, path: str, family: str = "custom", params: dict | None = None,
                  seed: int = 0) -> "PathEnsemble":
-        raw = np.loadtxt(path, delimiter=",", skiprows=1)
-        replicas = int(raw[:, 0].max()) + 1
-        n_pts = raw.shape[0] // replicas
+        """Read ``to_csv`` rows: replica-major, each replica on the same times.
+
+        Replica 0's leading rows give the times. A missing, extra or
+        out-of-order row raises ``ParameterError`` naming the first bad line.
+        """
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if raw.shape[0] == 0 or raw.shape[1] != 3:
+            raise ParameterError(f"{path}: expected rows of replica,time,value")
+        n_pts = int(np.argmax(raw[:, 0] != 0.0)) or raw.shape[0]
         times = raw[:n_pts, 1]
+        row = np.arange(raw.shape[0])
+        want = np.column_stack([row // n_pts, times[row % n_pts]])
+        bad = np.flatnonzero(np.any(raw[:, :2] != want, axis=1))
+        if bad.size or raw.shape[0] % n_pts:
+            i = int(bad[0]) if bad.size else raw.shape[0]
+            got = (f"replica {raw[i, 0]:g}, time {raw[i, 1]:.17g}"
+                   if bad.size else "end of file")
+            raise ParameterError(
+                f"{path}: line {i + 2}: expected replica {i // n_pts}, time "
+                f"{times[i % n_pts]:.17g}, got {got}")
+        replicas = raw.shape[0] // n_pts
         values = raw[:, 2].reshape(replicas, n_pts)
         return cls(grid=TimeGrid(points=times), values=values, family=family,
                    params=params or {}, seed=seed)
@@ -199,11 +216,16 @@ def _replica_normals(seed: int, stream: int, replicas: int, n: int,
 
     Row i depends only on (seed, stream, prefix, offset + i), so any
     partition of replicas across blocks or workers reproduces the same
-    ensemble bit for bit.
+    ensemble bit for bit.  One generator serves every row: it starts on
+    row 0's substream and is re-keyed to each later row's child seed.
     """
     out = np.empty((replicas, n))
-    for i in range(replicas):
-        out[i] = substream(seed, stream, *prefix, offset + i).standard_normal(n)
+    rng = substream(seed, stream, *prefix, offset)
+    keys = child_seeds(seed, stream, *prefix, start=offset, count=replicas)
+    for i, key in enumerate(keys.tolist()):
+        if i:
+            rekey(rng, key)
+        out[i] = rng.standard_normal(n)
     return out
 
 

@@ -12,6 +12,12 @@ splitmix64 finalizer and feeding the result to a counter-based generator
 
 Stream ids are small module-local constants; they only have to be unique
 within the library, and they are all listed here so uniqueness is visible.
+
+A draw of many replica rows derives the rows' child seeds in one
+vectorized pass (``child_seeds``) and moves one Philox bit generator to
+each row's key (``rekey``) instead of building a generator per row.
+Philox is counter-based, so a re-keyed generator is in exactly the state
+a fresh ``Philox(key=k)`` starts in and draws the same numbers.
 """
 
 from __future__ import annotations
@@ -54,6 +60,26 @@ def child_seed(master: int, *indices: int) -> int:
     return acc
 
 
+def child_seeds(master: int, *prefix: int, start: int, count: int) -> np.ndarray:
+    """uint64 array of ``child_seed(master, *prefix, start + i)``, i < count.
+
+    The prefix chain runs once; the last splitmix64 step runs in numpy
+    uint64 arithmetic, which wraps modulo 2^64 like the masked Python one.
+    """
+    acc = np.uint64(child_seed(master, *prefix))
+    x = np.arange(count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x += np.uint64(int(start) & _MASK64)
+        x ^= acc
+        x += np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
 def substream(master: int, *indices: int) -> np.random.Generator:
     """Return a Generator on an independent substream.
 
@@ -61,3 +87,20 @@ def substream(master: int, *indices: int) -> np.random.Generator:
     from distinct child seeds are independent by design.
     """
     return np.random.Generator(np.random.Philox(key=child_seed(master, *indices)))
+
+
+def rekey(rng: np.random.Generator, key: int) -> None:
+    """Put ``rng``'s Philox in the state ``Philox(key=key)`` starts in.
+
+    Key ``[key, 0]``, counter zero, an empty buffer and no cached 32-bit
+    half, so ``rng`` then draws exactly what ``substream`` would give for
+    the child seed ``key``.
+    """
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (int(key), 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }

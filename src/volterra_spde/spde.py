@@ -350,14 +350,15 @@ class MildSolutionField:
     def snapshot_to_csv(self, path: str, times=None) -> None:
         """(replica, time, node, value) rows at the given grid times."""
         times = self.grid.points if times is None else np.asarray(times, dtype=float)
-        nodes = self.model.nodes
+        fmt = "{:.17g}".format
+        nodes = list(map(fmt, self.model.nodes.tolist()))
         with open(path, "w") as fh:
             fh.write("replica,time,node,value\n")
-            for t in times:
-                vals = self.field_values(float(t))
-                for r in range(vals.shape[0]):
-                    for j in range(nodes.size):
-                        fh.write(f"{r:d},{t:.17g},{nodes[j]:.17g},{vals[r, j]:.17g}\n")
+            for t in times.tolist():
+                mids = [f",{fmt(t)},{x}," for x in nodes]
+                for r, row in enumerate(self.field_values(t).tolist()):
+                    fh.write("".join([f"{r}{m}{v}\n"
+                                      for m, v in zip(mids, map(fmt, row))]))
 
     def to_binary(self, path: str) -> None:
         """JSON header, then the (replicas, modes, N+1) coefficient block."""

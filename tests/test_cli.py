@@ -114,6 +114,8 @@ def test_run_invalid_config_exits_2(tmp_path):
     (["model.nodes=100"], "nodes >= 4*modes"),
     (['noise.kind="pointwise"', "noise.z=0"], "z=0.0 outside"),
     (['driver.family="rosenblatt"', "driver.inner=8"], "inner resolution"),
+    (['command="isometry"', "mc.n_phi=0"], "n_phi >= 1"),
+    (['command="isometry"', "mc.n_phi=-3"], "n_phi >= 1"),
 ])
 def test_run_handler_precondition_exits_2(tmp_path, overrides, message):
     # library preconditions: the validator builds the model and noise

@@ -300,6 +300,13 @@ def test_field_roundtrip_and_snapshots(tmp_path):
     r, t, x, v = lines[1].split(",")
     assert r == "0" and float(t) == 0.5
     assert float(v) == pytest.approx(field.field_values(0.5)[0, 0])
+    nodes = model.nodes
+    ref = ["replica,time,node,value\n"]
+    for t in np.asarray([0.5, 1.0]):
+        vals = field.field_values(float(t))
+        ref += [f"{r:d},{t:.17g},{nodes[j]:.17g},{vals[r, j]:.17g}\n"
+                for r in range(vals.shape[0]) for j in range(nodes.size)]
+    assert csv.read_text() == "".join(ref)
     with pytest.raises(AlignmentError):
         field.field_values(0.123)
 
