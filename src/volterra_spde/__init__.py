@@ -34,6 +34,7 @@ from .processes import (
     TimeGrid,
     PathEnsemble,
     CylindricalEnsemble,
+    LazyCylindricalEnsemble,
     FbmSampler,
     simulate_fbm,
     RosenblattSampler,
@@ -90,9 +91,9 @@ __all__ = [
     "hermite", "ChaosVariableSpec", "sample_linear_combination",
     "moment_ratio", "moment_ratio_stderr", "hypercontractivity_sweep",
     "TimeGrid", "PathEnsemble", "CylindricalEnsemble",
-    "FbmSampler", "simulate_fbm", "RosenblattSampler",
-    "simulate_rosenblatt", "third_moment_oracle", "make_sampler",
-    "simulate_cylindrical",
+    "LazyCylindricalEnsemble", "FbmSampler", "simulate_fbm",
+    "RosenblattSampler", "simulate_rosenblatt", "third_moment_oracle",
+    "make_sampler", "simulate_cylindrical",
     "StepFunction", "IntegrandNorms", "apply_Kstar", "integral_variance",
     "fbm_inner_product", "compute_norms", "elementary_integral",
     "riemann_stieltjes", "random_step_function", "embedding_bound_check",

@@ -34,8 +34,9 @@ from .errors import (AlignmentError, ConfigurationError, NumericError,
 from .kernels import (calibrate_C_H, covariance_quadrature,
                       fbm_constant_closed_form, fbm_covariance_closed_form,
                       make_fbm_kernel)
-from .processes import (RosenblattSampler, TimeGrid, simulate_cylindrical,
-                        simulate_fbm, simulate_rosenblatt, third_moment_oracle)
+from .processes import (LazyCylindricalEnsemble, RosenblattSampler, TimeGrid,
+                        simulate_cylindrical, simulate_fbm, simulate_rosenblatt,
+                        third_moment_oracle)
 from .regularity import (field_variogram, oracle_variogram_exponent,
                          regularity_verdict)
 from .seeding import STREAM_TEST, child_seed
@@ -278,13 +279,15 @@ def _scalar_driver(family: str, params: dict, grid: TimeGrid, replicas: int,
 
 def _solve_check(model, noise, family: str, params: dict, grid: TimeGrid,
                  replicas: int, seed: int, refinement, H: float):
-    """The mild solution and the variance check of its modes 1, 4 and 16
-    at T against c_k^2 times the exact per-mode variance."""
-    driver = (simulate_cylindrical(family, params, model.modes, grid,
-                                   replicas, seed)
+    """The mild solution at T and the variance check of its modes 1, 4 and
+    16 there against c_k^2 times the exact per-mode variance.  Diagonal
+    noise draws each mode's driver as that mode is solved."""
+    driver = (LazyCylindricalEnsemble(family, params, model.modes, grid,
+                                      replicas, seed)
               if noise.kind == "diagonal" else
               _scalar_driver(family, params, grid, replicas, seed))
-    field = solve_mild(model, noise, driver, None, grid, refinement)
+    field = solve_mild(model, noise, driver, None, grid, refinement,
+                       times=[grid.T])
     c = noise.mode_coefficients(model)
     return field, [dict(mode=k + 1, **_variance_check(
         field.mode_paths[:, k, -1],
@@ -360,7 +363,8 @@ def _factorization_check(model, noise, family: str, params: dict,
     identity at (1/2, 0.3 T, T) to 1e-6."""
     driver = simulate_cylindrical(family, params, model.modes, grid, replicas,
                                   seed)
-    a = solve_mild(model, noise, driver, None, grid, refinement).mode_paths[:, :, -1]
+    a = solve_mild(model, noise, driver, None, grid, refinement,
+                   times=[grid.T]).mode_paths[:, :, -1]
     denom = float(np.mean(np.sum(a * a, axis=1)))
     per_combo = {}
     for beta, delta in combos:

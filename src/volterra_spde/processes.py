@@ -30,13 +30,13 @@ Two families share the fBm covariance R_H(s, t):
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .errors import NumericError, ParameterError, TruncationError
+from .errors import (AlignmentError, NumericError, ParameterError,
+                     TruncationError)
 from .kernels import fbm_covariance_closed_form
 from .quadrature import panels_from_edges
 from .seeding import (STREAM_CYLINDRICAL, STREAM_FBM, STREAM_ROSENBLATT,
@@ -46,6 +46,7 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "CylindricalEnsemble",
+    "LazyCylindricalEnsemble",
     "FbmSampler",
     "RosenblattSampler",
     "simulate_fbm",
@@ -94,6 +95,13 @@ class TimeGrid:
     @property
     def n_steps(self) -> int:
         return self.points.size - 1
+
+    def index(self, t: float) -> int:
+        """Index of the grid time t; ``AlignmentError`` if t is not one."""
+        idx = min(int(np.searchsorted(self.points, t)), self.points.size - 1)
+        if not np.isclose(self.points[idx], t, rtol=1e-12, atol=1e-12):
+            raise AlignmentError(f"t={t} is not a grid time")
+        return idx
 
 
 @dataclass(frozen=True)
@@ -164,30 +172,6 @@ class PathEnsemble:
         return cls(grid=TimeGrid(points=times), values=values, family=family,
                    params=params or {}, seed=seed)
 
-    def to_binary(self, path: str) -> None:
-        """JSON header line, then row-major little-endian float64 values."""
-        header = {
-            "family": self.family,
-            "params": self.params,
-            "seed": self.seed,
-            "replicas": self.replicas,
-            "times": self.grid.points.tolist(),
-        }
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.write(np.ascontiguousarray(self.values, dtype="<f8").tobytes())
-
-    @classmethod
-    def from_binary(cls, path: str) -> "PathEnsemble":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-            flat = np.frombuffer(fh.read(), dtype="<f8")
-        times = np.asarray(header["times"], dtype=float)
-        values = flat.reshape(header["replicas"], times.size).copy()
-        return cls(grid=TimeGrid(points=times), values=values,
-                   family=header["family"], params=header["params"],
-                   seed=header["seed"])
-
 
 @dataclass(frozen=True)
 class CylindricalEnsemble:
@@ -204,6 +188,9 @@ class CylindricalEnsemble:
     @property
     def grid(self) -> TimeGrid:
         return self.coordinates[0].grid
+
+    def coordinate(self, n: int) -> PathEnsemble:
+        return self.coordinates[n]
 
     def stacked(self) -> np.ndarray:
         """Array view of shape (modes, replicas, N + 1)."""
@@ -558,20 +545,41 @@ def make_sampler(family: str, params: dict, grid: TimeGrid):
     raise ParameterError(f"unknown process family {family!r}")
 
 
+class LazyCylindricalEnsemble:
+    """A cylindrical ensemble whose coordinates are drawn on demand.
+
+    ``coordinate(n)`` draws coordinate n from the substream family
+    (seed, cylindrical, family stream, n) on every call and keeps nothing,
+    so a caller that reduces one mode at a time holds one mode's paths.
+    Expensive shared state (Cholesky factor, feature matrix) is built
+    once, on construction.
+    """
+
+    def __init__(self, family: str, params: dict, modes: int, grid: TimeGrid,
+                 replicas: int, seed: int):
+        if modes < 1:
+            raise ParameterError(f"modes must be >= 1, got {modes}")
+        self.sampler, self._family_stream = make_sampler(family, params, grid)
+        self.family, self.params, self.modes = family, params, modes
+        self.grid, self.replicas, self.seed = grid, replicas, seed
+
+    def coordinate(self, n: int) -> PathEnsemble:
+        if not 0 <= n < self.modes:
+            raise AlignmentError(f"coordinate {n} of a {self.modes}-mode driver")
+        values = self.sampler.draw(self.replicas, self.seed, STREAM_CYLINDRICAL,
+                                   self._family_stream, n)
+        return PathEnsemble(grid=self.grid, values=values, family=self.family,
+                            params=dict(self.params, mode=n), seed=self.seed)
+
+
 def simulate_cylindrical(family: str, params: dict, modes: int, grid: TimeGrid,
                          replicas: int, seed: int) -> CylindricalEnsemble:
     """``modes`` independent scalar ensembles of one family.
 
     Coordinate n draws from the substream family (seed, cylindrical, n),
-    so modes are independent and individually reproducible.  Expensive
-    shared state (Cholesky factor, feature matrix) is built once.
+    so modes are independent and individually reproducible; each is
+    :meth:`LazyCylindricalEnsemble.coordinate`, drawn once and kept.
     """
-    if modes < 1:
-        raise ParameterError(f"modes must be >= 1, got {modes}")
-    sampler, family_stream = make_sampler(family, params, grid)
-    coords = []
-    for n in range(modes):
-        values = sampler.draw(replicas, seed, STREAM_CYLINDRICAL, family_stream, n)
-        coords.append(PathEnsemble(grid=grid, values=values, family=family,
-                                   params=dict(params, mode=n), seed=seed))
-    return CylindricalEnsemble(modes=modes, coordinates=coords)
+    lazy = LazyCylindricalEnsemble(family, params, modes, grid, replicas, seed)
+    return CylindricalEnsemble(modes=modes,
+                               coordinates=[lazy.coordinate(n) for n in range(modes)])

@@ -36,10 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AdmissibilityError, ParameterError, TruncationError
-from .processes import PathEnsemble, TimeGrid, make_sampler
-from .seeding import STREAM_CYLINDRICAL
+from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
-                   mode_convolution)
+                   iter_mode_convolutions)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -233,28 +232,23 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
 
     Modes are sampled, convolved, reduced, and discarded one at a time,
     so grids far beyond what a materialized field allows are feasible.
-    The driver substreams match ``simulate_cylindrical``, so a
-    materialized run with the same seed produces identical increments.
+    The driver is a :class:`LazyCylindricalEnsemble`, whose substreams
+    match ``simulate_cylindrical``, so a materialized run with the same
+    seed produces identical increments.
     Only p = 2 norms are mode-separable; ``deltas`` lists the V_{delta,2}
     weights to accumulate in the same pass (delta = 0 is the L^2 norm).
     """
     lags, bases = _lag_set(grid.n_steps, lags, bases)
     if replicas < 1000:
         raise ParameterError(f"need >= 1000 replicas, got {replicas}")
-    sampler, family_stream = make_sampler(family, params, grid)
+    driver = LazyCylindricalEnsemble(family, params, noise.driver_modes(model),
+                                     grid, replicas, seed)
     c = noise.mode_coefficients(model)
     lam = model.eigenvalues
     pairs = [(b, lag) for lag in lags for b in bases]
     acc = {d: np.zeros((replicas, len(pairs))) for d in deltas}
-    shared_driver = noise.kind == "pointwise"
-    incs = None
-    for k in range(model.modes):
-        if incs is None or not shared_driver:
-            mode_id = 0 if shared_driver else k
-            values = sampler.draw(replicas, seed, STREAM_CYLINDRICAL,
-                                  family_stream, mode_id)
-            incs = np.diff(values, axis=1)
-        conv = mode_convolution(lam[k], incs, grid, refinement)
+    for k, _, conv in iter_mode_convolutions(model, noise, driver, grid,
+                                             refinement):
         for j, (b, lag) in enumerate(pairs):
             d_k = c[k] * (conv[:, b + lag] - conv[:, b])
             sq = d_k * d_k

@@ -32,7 +32,6 @@ pairwise summation, so results do not depend on how work is partitioned.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,6 +55,7 @@ __all__ = [
     "estimate_gamma_decay",
     "exp_convolution_weight",
     "mode_convolution",
+    "iter_mode_convolutions",
     "solve_mild",
     "fractional_power_norm",
     "per_mode_variance_oracle",
@@ -336,16 +336,9 @@ class MildSolutionField:
     def replicas(self) -> int:
         return self.mode_paths.shape[0]
 
-    def time_index(self, t: float) -> int:
-        idx = int(np.searchsorted(self.grid.points, t))
-        idx = min(idx, self.grid.points.size - 1)
-        if not np.isclose(self.grid.points[idx], t, rtol=1e-12, atol=1e-12):
-            raise AlignmentError(f"t={t} is not a grid time")
-        return idx
-
     def field_values(self, t: float) -> np.ndarray:
         """(replicas, n_nodes) field samples sum_k X_k(t) e_k(x)."""
-        return self.mode_paths[:, :, self.time_index(t)] @ self.model.eigenfunctions
+        return self.mode_paths[:, :, self.grid.index(t)] @ self.model.eigenfunctions
 
     def snapshot_to_csv(self, path: str, times=None) -> None:
         """(replica, time, node, value) rows at the given grid times."""
@@ -360,74 +353,78 @@ class MildSolutionField:
                     fh.write("".join([f"{r}{m}{v}\n"
                                       for m, v in zip(mids, map(fmt, row))]))
 
-    def to_binary(self, path: str) -> None:
-        """JSON header, then the (replicas, modes, N+1) coefficient block."""
-        header = {
-            "L": self.model.L, "m": self.model.m, "modes": self.model.modes,
-            "nodes": self.model.nodes.size,
-            "times": self.grid.points.tolist(),
-            "replicas": self.replicas,
-            "metadata": self.metadata,
-        }
-        with open(path, "wb") as fh:
-            fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.write(np.ascontiguousarray(self.mode_paths, dtype="<f8").tobytes())
 
-    @classmethod
-    def from_binary(cls, path: str) -> "MildSolutionField":
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
-            flat = np.frombuffer(fh.read(), dtype="<f8")
-        grid = TimeGrid(points=np.asarray(header["times"]))
-        model = build_model(header["L"], header["m"], header["modes"], header["nodes"])
-        shape = (header["replicas"], header["modes"], grid.points.size)
-        return cls(grid=grid, model=model, mode_paths=flat.reshape(shape).copy(),
-                   metadata=header["metadata"])
+def _coordinate(driver, n: int) -> PathEnsemble:
+    return driver if isinstance(driver, PathEnsemble) else driver.coordinate(n)
 
 
-def _driver_increments(driver, k: int) -> np.ndarray:
-    coord = driver.coordinates[k] if isinstance(driver, CylindricalEnsemble) else driver
-    return np.diff(coord.values, axis=1)
+def iter_mode_convolutions(model: SpectralModel, noise: NoiseOperator, driver,
+                           grid: TimeGrid, refinement: int | None):
+    """Yield (k, driver path, integral_0^t e^{-lambda_k (t-r)} db_r) per mode.
+
+    Diagonal noise convolves coordinate k of a cylindrical driver (eager,
+    or lazy and drawn here) for mode k; pointwise noise takes its one
+    driver path once and convolves it for every mode.  Mode k's driver is
+    released before mode k + 1's is drawn, so a consumer that drops what
+    it was given holds one mode at a time.
+    """
+    shared = noise.kind == "pointwise"
+    for k in range(model.modes):
+        if k == 0 or not shared:
+            path = _coordinate(driver, 0 if shared else k)
+            incs = np.diff(path.values, axis=1)
+        yield k, path, mode_convolution(model.eigenvalues[k], incs, grid,
+                                        refinement)
+        if not shared:
+            del path, incs
 
 
 def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
                x0: np.ndarray | None, grid: TimeGrid,
-               refinement: int | None = 64) -> MildSolutionField:
+               refinement: int | None = 64,
+               times: list[float] | None = None) -> MildSolutionField:
     """Mild solution X_t = S(t) x0 + integral_0^t S(t-r) Phi dB_r.
 
     ``driver`` is a scalar :class:`PathEnsemble` for pointwise noise or a
-    :class:`CylindricalEnsemble` with exactly ``model.modes`` coordinates
-    for diagonal noise, sampled on ``grid``.
+    cylindrical ensemble (:class:`CylindricalEnsemble`, or
+    :class:`LazyCylindricalEnsemble` drawn one mode at a time) with
+    exactly ``model.modes`` coordinates for diagonal noise, sampled on
+    ``grid``.  ``times`` (grid times) keeps only t = 0 and those columns,
+    on the grid of the kept times; each kept value is the one the full
+    solve gives.
     """
     c = noise.mode_coefficients(model)
     n_drivers = noise.driver_modes(model)
-    if isinstance(driver, CylindricalEnsemble):
-        if driver.modes != n_drivers:
-            raise AlignmentError(
-                f"noise kind {noise.kind!r} needs {n_drivers} driver modes, "
-                f"ensemble has {driver.modes}")
-        base = driver.coordinates[0]
-    else:
+    if isinstance(driver, PathEnsemble):
         if n_drivers != 1:
             raise AlignmentError("diagonal noise needs a cylindrical driver")
-        base = driver
-    if not np.array_equal(base.grid.points, grid.points):
+    elif driver.modes != n_drivers:
+        raise AlignmentError(
+            f"noise kind {noise.kind!r} needs {n_drivers} driver modes, "
+            f"ensemble has {driver.modes}")
+    if not np.array_equal(driver.grid.points, grid.points):
         raise AlignmentError("driver grid differs from solver grid")
     if x0 is None:
         x0 = np.zeros(model.modes)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.modes,):
         raise ParameterError(f"x0 shape {x0.shape}, expected ({model.modes},)")
-    replicas = base.values.shape[0]
-    paths = np.empty((replicas, model.modes, grid.points.size))
-    flow = np.exp(-model.eigenvalues[:, None] * grid.points[None, :])
-    for k in range(model.modes):
-        incs = _driver_increments(driver, k if noise.kind == "diagonal" else 0)
-        conv = mode_convolution(model.eigenvalues[k], incs, grid, refinement)
-        paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * conv
-    meta = {"driver_family": base.family, "driver_params": base.params,
-            "seed": base.seed, "noise": noise.kind, "refinement": refinement}
-    return MildSolutionField(grid=grid, model=model, mode_paths=paths, metadata=meta)
+    keep, out_grid = slice(None), grid
+    if times is not None:
+        keep = np.unique([0, *(grid.index(t) for t in times)])
+        out_grid = TimeGrid(points=grid.points[keep])
+    flow = np.exp(-model.eigenvalues[:, None] * out_grid.points[None, :])
+    for k, path, conv in iter_mode_convolutions(model, noise, driver, grid,
+                                                refinement):
+        if k == 0:
+            paths = np.empty((conv.shape[0], model.modes, out_grid.points.size))
+            meta = {"driver_family": path.family, "driver_params": path.params,
+                    "seed": path.seed, "noise": noise.kind,
+                    "refinement": refinement}
+        paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * conv[:, keep]
+        del path, conv          # not held while the next mode is drawn
+    return MildSolutionField(grid=out_grid, model=model, mode_paths=paths,
+                             metadata=meta)
 
 
 def fractional_power_norm(field: MildSolutionField, delta: float, p: float,
@@ -439,7 +436,7 @@ def fractional_power_norm(field: MildSolutionField, delta: float, p: float,
     """
     if delta < 0.0:
         raise ParameterError(f"delta must be >= 0, got {delta}")
-    coeff = field.mode_paths[:, :, field.time_index(t)]
+    coeff = field.mode_paths[:, :, field.grid.index(t)]
     weighted = coeff * field.model.eigenvalues[None, :] ** delta
     vals = weighted @ field.model.eigenfunctions
     return field.model.lp_norm(vals, p)
@@ -522,7 +519,7 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
     if not params.beta > 0.0:
         raise ParameterError("factorization needs beta > 0")
     c = noise.mode_coefficients(model)
-    base = driver.coordinates[0] if isinstance(driver, CylindricalEnsemble) else driver
+    base = _coordinate(driver, 0)
     if not np.array_equal(base.grid.points, grid.points):
         raise AlignmentError("driver grid differs from solver grid")
     T = grid.T
@@ -534,7 +531,8 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
     paths = np.zeros((replicas, model.modes, grid.points.size))
     for k in range(model.modes):
         lam = model.eigenvalues[k]
-        incs = _driver_increments(driver, k if noise.kind == "diagonal" else 0)
+        incs = np.diff(_coordinate(driver, k if noise.kind == "diagonal" else 0)
+                       .values, axis=1)
         acc = np.zeros(replicas)
         for u, wq in zip(u_nodes, w_weights):
             if u <= 0.0:

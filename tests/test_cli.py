@@ -5,17 +5,23 @@ certificate, 4 completed run whose verdicts include a FAIL.
 """
 
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_spde.cli import (DEFAULT_SEED, apply_override, config_hash,
-                               main, parse_config, run, serialize_config,
-                               validate_config)
+import volterra_spde
+from volterra_spde.cli import (DEFAULT_SEED, _solve_check, apply_override,
+                               config_hash, main, parse_config, run,
+                               serialize_config, validate_config)
 from volterra_spde.errors import ConfigurationError, ParameterError
-from volterra_spde.processes import PathEnsemble
+from volterra_spde.processes import PathEnsemble, TimeGrid
+from volterra_spde.spde import NoiseOperator, build_model
 
 
 def _cfg(*overrides):
@@ -213,6 +219,25 @@ def test_command_runs_its_check_at_config_sizes(tmp_path, command, overrides):
         assert all("margin" in row for row in rows)
 
 
+def test_solve_check_holds_one_mode_at_a_time():
+    # the driver and the field would each be one (replicas, modes, N + 1)
+    # array if materialized; the streamed check stays far below one
+    modes, replicas, n_steps = 32, 400, 256
+    model = build_model(np.pi, 1, modes, 128)
+    noise = NoiseOperator(kind="diagonal", phi_k=np.ones(modes))
+    grid = TimeGrid.regular(1.0, n_steps)
+    tracemalloc.start()
+    try:
+        field, rows = _solve_check(model, noise, "fbm", {"H": 0.75}, grid,
+                                   replicas, 5, 64, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < replicas * modes * (n_steps + 1) * 8 / 4
+    assert field.mode_paths.shape == (replicas, modes, 2)
+    assert len(rows) == 3
+
+
 def test_removed_nu_leaf_is_unknown(tmp_path):
     assert main(["solve", "--set", "params.nu=0.4",
                  "--output", str(tmp_path)]) == 2
@@ -280,6 +305,19 @@ def test_main_reads_config_file(tmp_path):
     assert rc == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["config"]["mc"]["replicas"] == 500
+
+
+def test_module_entry_point_prints_no_runpy_warning(tmp_path):
+    src = os.path.dirname(os.path.dirname(volterra_spde.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "volterra_spde", "gamma-decay",
+         "--output", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+    assert (tmp_path / "gamma_decay.json").exists()
 
 
 def test_main_rejects_bad_input(tmp_path, capsys):

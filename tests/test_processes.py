@@ -74,16 +74,6 @@ def test_csv_rejects_missing_or_shuffled_rows(tmp_path, edit, line):
         PathEnsemble.from_csv(str(path))
 
 
-def test_binary_round_trip(tmp_path):
-    ens = simulate_fbm(0.6, TimeGrid.regular(1.0, 16), replicas=4, seed=9)
-    path = str(tmp_path / "ens.bin")
-    ens.to_binary(path)
-    back = PathEnsemble.from_binary(path)
-    assert np.array_equal(back.values, ens.values)
-    assert back.family == "fbm" and back.params == {"H": 0.6}
-    assert back.seed == 9
-
-
 def test_cylindrical_container():
     grid = TimeGrid.regular(1.0, 8)
     cyl = simulate_cylindrical("fbm", {"H": 0.75}, 3, grid, 10, seed=1)

@@ -8,11 +8,14 @@ inner product on midpoint discretizations of the two exponentials.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_spde.errors import (AlignmentError, ParameterError,
                                   TruncationError)
 from volterra_spde.kernels import make_fbm_kernel
-from volterra_spde.processes import TimeGrid, simulate_cylindrical, simulate_fbm
+from volterra_spde.processes import (LazyCylindricalEnsemble, TimeGrid,
+                                     simulate_cylindrical, simulate_fbm)
 from volterra_spde.spde import (HolderParameters, MildSolutionField,
                                 NoiseOperator, build_model,
                                 elementary_operator_check,
@@ -243,6 +246,62 @@ def test_solver_alignment_errors(model_16, noise_ones_16, grid_256,
         solve_mild(model_16, point, fbm_ens_075, np.ones(3), grid_256)
 
 
+def test_lazy_driver_alignment_errors(model_16, noise_ones_16, grid_256):
+    small = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 4, grid_256, 4, seed=0)
+    with pytest.raises(AlignmentError):
+        solve_mild(model_16, noise_ones_16, small, None, grid_256)
+    with pytest.raises(AlignmentError):
+        small.coordinate(4)
+    other = TimeGrid.regular(1.0, 128)
+    lazy = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 16, other, 4, seed=0)
+    with pytest.raises(AlignmentError):
+        solve_mild(model_16, noise_ones_16, lazy, None, grid_256)
+    point = NoiseOperator(kind="pointwise", z=1.2)
+    with pytest.raises(AlignmentError):
+        solve_mild(model_16, point, lazy, None, other)
+    one = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 1, other, 4, seed=0)
+    with pytest.raises(AlignmentError):
+        solve_mild(model_16, point, one, None, other, times=[0.123])
+    with pytest.raises(ParameterError):
+        LazyCylindricalEnsemble("fbm", {"H": 0.75}, 0, other, 4, seed=0)
+
+
+@given(family=st.sampled_from(["fbm", "rosenblatt"]),
+       kind=st.sampled_from(["diagonal", "pointwise"]),
+       modes=st.integers(1, 4), n_steps=st.integers(2, 12),
+       replicas=st.integers(1, 5), uniform=st.booleans(),
+       refinement=st.none() | st.integers(1, 64), x0=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_streamed_solve_keeps_full_solve_columns(family, kind, modes, n_steps,
+                                                 replicas, uniform, refinement,
+                                                 x0, seed, data):
+    # the lazy driver and a times subset give, bit for bit, the columns
+    # and metadata of the eager full-grid solve
+    if uniform:
+        grid = TimeGrid.regular(1.0, n_steps)
+    else:
+        widths = np.random.default_rng(seed).uniform(0.2, 1.0, n_steps)
+        grid = TimeGrid(points=np.concatenate([[0.0], np.cumsum(widths)]))
+    params = ({"H": 0.7} if family == "fbm"
+              else {"Hp": 0.7, "inner": 16, "check": False})
+    model = build_model(np.pi, 1, modes, 16)
+    noise = (NoiseOperator(kind="pointwise", z=1.1) if kind == "pointwise"
+             else NoiseOperator(kind="diagonal", phi_k=np.linspace(1.0, 0.5, modes)))
+    n_drivers = noise.driver_modes(model)
+    start = np.linspace(-1.0, 2.0, modes) if x0 else None
+    eager = simulate_cylindrical(family, params, n_drivers, grid, replicas, seed)
+    full = solve_mild(model, noise, eager, start, grid, refinement)
+    idx = data.draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=3))
+    times = grid.points[idx].tolist()
+    lazy = LazyCylindricalEnsemble(family, params, n_drivers, grid, replicas, seed)
+    part = solve_mild(model, noise, lazy, start, grid, refinement, times=times)
+    keep = np.unique([0, *idx])
+    assert np.array_equal(part.grid.points, grid.points[keep])
+    assert np.array_equal(part.mode_paths, full.mode_paths[:, :, keep])
+    assert part.metadata == full.metadata
+
+
 def test_mode_variances_match_quadrature_oracle():
     model = build_model(np.pi, 1, 4, 64)
     grid = TimeGrid.regular(1.0, 512)
@@ -280,18 +339,12 @@ def test_pointwise_modes_carry_exact_cross_covariance():
     assert abs(mc - oracle) <= max(3.0 * se, 0.02 * abs(oracle))
 
 
-def test_field_roundtrip_and_snapshots(tmp_path):
+def test_field_snapshot_csv(tmp_path):
     model = build_model(np.pi, 1, 3, 64)
     grid = TimeGrid.regular(1.0, 16)
     driver = simulate_cylindrical("fbm", {"H": 0.75}, 3, grid, 5, seed=4)
     noise = NoiseOperator(kind="diagonal", phi_k=np.ones(3))
     field = solve_mild(model, noise, driver, None, grid)
-    path = tmp_path / "field.bin"
-    field.to_binary(str(path))
-    back = MildSolutionField.from_binary(str(path))
-    assert np.array_equal(back.mode_paths, field.mode_paths)
-    assert np.array_equal(back.grid.points, grid.points)
-    assert back.metadata["driver_family"] == "fbm"
     csv = tmp_path / "snap.csv"
     field.snapshot_to_csv(str(csv), times=[0.5, 1.0])
     lines = csv.read_text().strip().split("\n")
