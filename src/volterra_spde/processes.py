@@ -25,7 +25,12 @@ Two families share the fBm covariance R_H(s, t):
 
   whose exact second and third moments are traces of small matrices; the
   normalization C and the deterministic oracles below come from those
-  traces, so Monte Carlo only enters when paths are drawn.
+  traces, so Monte Carlo only enters when paths are drawn.  The traces
+  at one time are taken in cell space, from the Gram matrix
+  G = F^T Omega F (cells x cells) of the feature matrix F (u-nodes x
+  cells); only the all-pairs covariance ``second_moment_matrix`` still
+  forms the u-node x u-node matrix S = F diag(dy) F^T, because it needs
+  prefix sums over u-nodes for every pair of output times.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ __all__ = [
 ]
 
 _REPLICA_BLOCK = 2000  # cap on transient (n_nodes x replicas) arrays
+_ROW_BLOCK = 512       # cap on transient (u-node rows x cells) arrays
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +301,20 @@ def _rosenblatt_edges(T: float, trunc: float, inner: int,
     return np.concatenate([tail[::-1], fine])
 
 
+def _gram(F: np.ndarray, omega: np.ndarray, k: int) -> np.ndarray:
+    """G = F_k^T diag(omega_k) F_k over the first k u-nodes (cells x cells).
+
+    Accumulated over row blocks of sqrt(omega) F, so no temporary is
+    larger than a block.
+    """
+    G = np.zeros((F.shape[1], F.shape[1]))
+    for lo in range(0, k, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, k)
+        W = F[lo:hi] * np.sqrt(omega[lo:hi])[:, None]
+        G += W.T @ W
+    return G
+
+
 class RosenblattSampler:
     """Second-chaos sampler with trace-formula moments.
 
@@ -302,6 +322,12 @@ class RosenblattSampler:
     u-quadrature weights omega, cell widths, and the per-output-time node
     counts; the calibration constant C comes from the exact variance of
     the discrete quadratic form at t = T.
+
+    The variance behind C, the doubling certificate and the third moment
+    are traces over the cell-space Gram matrix G = F^T Omega F, so they
+    need cells^2 memory.  Node space keeps F itself, the draw's F @ dW,
+    and ``second_moment_matrix`` (with ``recolor``), the one place that
+    forms the u-node x u-node matrix S = F diag(dy) F^T.
     """
 
     def __init__(self, Hp: float, grid: TimeGrid, trunc: float | None = None,
@@ -339,6 +365,7 @@ class RosenblattSampler:
 
     def _build(self, trunc: float, inner: int) -> None:
         self.F, self.omega, self.dy, self.kend = self._assemble(trunc, inner)
+        self._diag_table = self._diagonal_table()
 
     def _recolor_map(self) -> np.ndarray:
         ts = self.grid.points[1:]
@@ -357,14 +384,39 @@ class RosenblattSampler:
         interior = edges[(edges > 0.0) & (edges < T)]
         cuts = np.unique(np.concatenate([times, interior]))
         u, omega = panels_from_edges(cuts, n_nodes=self.g_nodes)
+        # every output time is a cut, so kend is strictly increasing
         kend = [int(np.searchsorted(cuts, t, "right") - 1) * self.g_nodes
                 for t in times]
         e1 = 1.0 - self.sigma
         # cell average of (u - y)_+^{-sigma}: difference of antiderivative
-        # values at the cell edges, divided by the width
-        F = (np.maximum(u[:, None] - yl[None, :], 0.0) ** e1
-             - np.maximum(u[:, None] - yr[None, :], 0.0) ** e1) / (e1 * dy[None, :])
+        # values at the cell edges, divided by the width; filled in row
+        # blocks so the elementwise temporaries stay block-sized
+        F = np.empty((u.size, dy.size))
+        for lo in range(0, u.size, _ROW_BLOCK):
+            ub = u[lo:lo + _ROW_BLOCK, None]
+            F[lo:lo + _ROW_BLOCK] = (np.maximum(ub - yl[None, :], 0.0) ** e1
+                                     - np.maximum(ub - yr[None, :], 0.0) ** e1
+                                     ) / (e1 * dy[None, :])
         return F, omega, dy, kend
+
+    def _diagonal_table(self) -> np.ndarray:
+        """Column j: sum_{k < kend[j]} omega_k F_k^2, per cell.
+
+        The weight of dW_i^2 in the diagonal terms the draw removes up to
+        output time j, so the correction for every time is one product
+        with dW^2.
+        """
+        F, om = self.F, self.omega
+        table = np.empty((F.shape[1], len(self.kend)))
+        acc = np.zeros(F.shape[1])
+        prev = 0
+        for j, k in enumerate(self.kend):
+            for lo in range(prev, k, _ROW_BLOCK):
+                blk = F[lo:min(lo + _ROW_BLOCK, k)]
+                acc += om[lo:lo + blk.shape[0]] @ (blk * blk)
+            table[:, j] = acc
+            prev = k
+        return table
 
     # -- exact moments of the discrete form ---------------------------------
 
@@ -375,16 +427,13 @@ class RosenblattSampler:
         With S_kl = sum_i F_ki F_li dy_i and b_i = sum_k omega_k F_ki^2,
         the off-diagonal double sum has variance 2 (S2 - D2) where
         S2 = sum_kl omega_k omega_l S_kl^2 and D2 = sum_i b_i^2 dy_i^2.
+        Cyclically, S2 = tr((Omega S)^2) = sum_ij dy_i dy_j G_ij^2 with
+        the Gram matrix G = F^T Omega F, and b_i = G_ii.
         """
-        Fk, om = F[:k], omega[:k]
-        S = (Fk * dy) @ Fk.T
-        s2 = 0.0
-        for lo in range(0, k, 1024):  # row blocks cap the S**2 temporary
-            blk = S[lo:lo + 1024]
-            s2 += om[lo:lo + 1024] @ ((blk * blk) @ om)
-        b = om @ (Fk * Fk)
-        d2 = np.sum(b * b * dy * dy)
-        return 2.0 * (s2 - d2)
+        G = _gram(F, omega, k)
+        bd = np.diagonal(G) * dy
+        s2 = dy @ np.square(G, out=G) @ dy
+        return 2.0 * (s2 - bd @ bd)
 
     def second_moment_matrix(self) -> np.ndarray:
         """Model covariance C^2 E[Q_s Q_t] on the full time grid.
@@ -398,13 +447,19 @@ class RosenblattSampler:
         back = np.maximum(kidx - 1, 0)
         S = (F * dy) @ F.T
         acc = np.empty((F.shape[0], kidx.size))
-        for lo in range(0, F.shape[0], 1024):
-            hi = min(lo + 1024, F.shape[0])
-            cs = np.cumsum(S[lo:hi] ** 2 * om[None, :], axis=1)
+        for lo in range(0, F.shape[0], _ROW_BLOCK):
+            hi = min(lo + _ROW_BLOCK, F.shape[0])
+            blk = np.square(S[lo:hi])
+            blk *= om[None, :]
+            cs = np.cumsum(blk, axis=1, out=blk)
             acc[lo:hi] = np.where(kidx[None, :] > 0, cs[:, back], 0.0)
-        cs2 = np.cumsum(acc * om[:, None], axis=0)
-        s2 = np.where(kidx[:, None] > 0, cs2[back], 0.0)
-        bw = np.cumsum((F * F) * om[:, None], axis=0)
+        del S, blk, cs          # the only u-node x u-node matrix, freed here
+        acc *= om[:, None]
+        np.cumsum(acc, axis=0, out=acc)
+        s2 = np.where(kidx[:, None] > 0, acc[back], 0.0)
+        bw = np.square(F)
+        bw *= om[:, None]
+        np.cumsum(bw, axis=0, out=bw)
         bm = np.where(kidx[:, None] > 0, bw[back], 0.0) * dy[None, :]
         return 2.0 * (s2 - bm @ bm.T) * self.C ** 2
 
@@ -413,21 +468,23 @@ class RosenblattSampler:
 
         Excluding diagonals subtracts rank-one corrections, giving
         tr((Omega S)^3) - 3 tr(Omega S Omega S') + 2 sum_i b_i^3 dy_i^3
-        with S'_kl = sum_i F_ki F_li dy_i^2 b_i.
+        with S'_kl = sum_i F_ki F_li dy_i^2 b_i.  In cell space, with
+        G = F^T Omega F, b_i = G_ii and D = diag(dy),
+        tr((Omega S)^3) = tr(Gh^3) for Gh = D^1/2 G D^1/2, and
+        tr(Omega S Omega S') = sum_ij G_ij^2 dy_j dy_i^2 b_i.
         """
         k = self.kend[t_index]
         if k == 0:
             return 0.0
-        Fk, om, dy = self.F[:k], self.omega[:k], self.dy
-        S = (Fk * dy) @ Fk.T
-        b = om @ (Fk * Fk)
-        Sp = (Fk * (dy * dy * b)) @ Fk.T
-        OS = S * om[:, None]
-        OSp = Sp * om[:, None]
-        # tr(A^3) = sum((A @ A) * A.T), saving one K x K product
-        OS2 = OS @ OS
-        core = (np.sum(OS2 * OS.T) - 3.0 * np.sum(OS * OSp.T)
-                + 2.0 * np.sum(b ** 3 * dy ** 3))
+        dy = self.dy
+        G = _gram(self.F, self.omega, k)
+        b = np.diagonal(G).copy()
+        h = np.sqrt(dy)
+        Gh = G * h[:, None] * h[None, :]
+        # tr(A^3) = sum((A @ A) * A.T), saving one product
+        cubic = np.sum((Gh @ Gh) * Gh.T)
+        cross = (dy * dy * b) @ np.square(G, out=G) @ dy
+        core = cubic - 3.0 * cross + 2.0 * np.sum(b ** 3 * dy ** 3)
         return float(8.0 * self.C ** 3 * core)
 
     # -- convergence certificate --------------------------------------------
@@ -435,10 +492,11 @@ class RosenblattSampler:
     def _convergence_check(self, raw: float) -> dict:
         """Raise if Var Z_T drifts > 2% under doubling of trunc or inner."""
         drifts = {}
-        F2, om2, dy2, kend2 = self._assemble(2.0 * self.trunc, self.inner)
-        drifts["trunc"] = self._raw_variance(F2, om2, dy2, kend2[-1]) / raw - 1.0
-        F3, om3, dy3, kend3 = self._assemble(self.trunc, 2 * self.inner)
-        drifts["inner"] = self._raw_variance(F3, om3, dy3, kend3[-1]) / raw - 1.0
+        for name, trunc, inner in (("trunc", 2.0 * self.trunc, self.inner),
+                                   ("inner", self.trunc, 2 * self.inner)):
+            F, om, dy, kend = self._assemble(trunc, inner)
+            drifts[name] = self._raw_variance(F, om, dy, kend[-1]) / raw - 1.0
+            del F               # not held while the next one is assembled
         worst = max(abs(v) for v in drifts.values())
         if worst > 0.02:
             raise TruncationError(
@@ -456,13 +514,14 @@ class RosenblattSampler:
 
         The double integral excludes the diagonal; leaving it in is a
         deliberate fault injection for calibration checks, never a
-        production option.
+        production option.  Same (seed, replicas) reproduces bit for bit;
+        the matrix products may round differently for another replica
+        count, so a prefix of a longer draw agrees to rounding.
         """
         if replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {replicas}")
         F, om, dy, kend = self.F, self.omega, self.dy, self.kend
         sqdy = np.sqrt(dy)
-        ends = sorted(set(kend))
         out = np.empty((replicas, len(kend)))
         for lo in range(0, replicas, _REPLICA_BLOCK):
             hi = min(lo + _REPLICA_BLOCK, replicas)
@@ -470,19 +529,18 @@ class RosenblattSampler:
                                  offset=lo)
             dw = (g * sqdy).T                     # cells x replicas
             v = F @ dw
-            diag = 0.0 if include_diagonal else (F * F) @ (dw * dw)
-            contrib = (v * v - diag) * om[:, None]
+            contrib = (v * v) * om[:, None]
             # cumulative over u-nodes, sampled at each output time's count
             acc = np.zeros(hi - lo)
-            partial = {0: acc.copy()}
             prev = 0
-            for k in ends:
+            for j, k in enumerate(kend):
                 if k > prev:
                     acc = acc + contrib[prev:k].sum(axis=0)
                     prev = k
-                partial[k] = acc.copy()
-            for j, k in enumerate(kend):
-                out[lo:hi, j] = self.C * partial[k]
+                out[lo:hi, j] = acc
+            if not include_diagonal:
+                out[lo:hi] -= np.square(dw.T) @ self._diag_table
+            out[lo:hi] *= self.C
         if self._recolor is not None:
             out[:, 1:] = out[:, 1:] @ self._recolor
         return out

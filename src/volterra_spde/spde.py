@@ -512,8 +512,9 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
         X(T) = Lambda integral_0^T (T-u)^{beta-1} e^{-lambda (T-u)}
                lambda^{-delta} Y^delta_u du,   Lambda = sin(pi beta)/pi,
 
-    with the endpoint singularity removed by w = (T - u)^beta.  Only the
-    final time carries reconstructed values; earlier columns are zero.
+    with the endpoint singularity removed by w = (T - u)^beta.  The field
+    is returned on the grid [0, T], as ``solve_mild(times=[T])`` returns
+    it: column 0 is the zero start, column 1 the reconstruction at T.
     """
     params = HolderParameters(alpha=alpha, beta=beta, delta=delta)
     if not params.beta > 0.0:
@@ -528,7 +529,7 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
     u_nodes = T - w_nodes ** (1.0 / beta)
     Lam = np.sin(np.pi * beta) / np.pi
     replicas = base.values.shape[0]
-    paths = np.zeros((replicas, model.modes, grid.points.size))
+    paths = np.zeros((replicas, model.modes, 2))
     for k in range(model.modes):
         lam = model.eigenvalues[k]
         incs = np.diff(_coordinate(driver, k if noise.kind == "diagonal" else 0)
@@ -544,9 +545,9 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
             acc += wq * np.exp(-lam * (T - u)) * lam ** (-delta) * y_u
         paths[:, k, -1] = (Lam / beta) * c[k] * acc
     meta = {"driver_family": base.family, "beta": beta, "delta": delta,
-            "noise": noise.kind, "refinement": refinement,
-            "reconstruction_only_final_time": True}
-    return MildSolutionField(grid=grid, model=model, mode_paths=paths, metadata=meta)
+            "noise": noise.kind, "refinement": refinement}
+    return MildSolutionField(grid=TimeGrid(points=grid.points[[0, -1]]),
+                             model=model, mode_paths=paths, metadata=meta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,21 @@ form after recoloring.  Truncation behavior uses the cheap parameters
 (trunc ~ 1e2, inner 256) where the certificate outcome is known.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volterra_spde.errors import ParameterError, TruncationError
 from volterra_spde.kernels import fbm_covariance_closed_form
 from volterra_spde.processes import (CylindricalEnsemble, PathEnsemble,
                                      RosenblattSampler, TimeGrid,
-                                     simulate_cylindrical, simulate_fbm,
-                                     simulate_rosenblatt, third_moment_oracle)
+                                     _replica_normals, simulate_cylindrical,
+                                     simulate_fbm, simulate_rosenblatt,
+                                     third_moment_oracle)
+from volterra_spde.seeding import STREAM_ROSENBLATT
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +224,91 @@ def test_recoloring_matches_closed_form_covariance():
     m3 = float(np.mean(z[:, -1] ** 3))
     se3 = float(np.std(z[:, -1] ** 3) / np.sqrt(z.shape[0]))
     assert m3 > 3.0 * se3
+
+
+# The sampler takes its traces in cell space (Gram matrix G = F^T Omega F)
+# and the draw's diagonal correction from a prefix table; the node-space
+# formulas below, with S = F diag(dy) F^T, are the reference they must
+# reproduce.
+
+def _node_space_raw_variance(F, om, dy, k):
+    Fk, omk = F[:k], om[:k]
+    S = (Fk * dy) @ Fk.T
+    b = omk @ (Fk * Fk)
+    return 2.0 * (omk @ (S * S) @ omk - np.sum(b * b * dy * dy))
+
+
+def _node_space_third_moment(s, k):
+    Fk, om, dy = s.F[:k], s.omega[:k], s.dy
+    S = (Fk * dy) @ Fk.T
+    b = om @ (Fk * Fk)
+    Sp = (Fk * (dy * dy * b)) @ Fk.T
+    OS, OSp = S * om[:, None], Sp * om[:, None]
+    core = (np.trace(OS @ OS @ OS) - 3.0 * np.trace(OS @ OSp)
+            + 2.0 * np.sum(b ** 3 * dy ** 3))
+    return 8.0 * s.C ** 3 * core
+
+
+def _node_space_draw(s, replicas, seed, include_diagonal=False):
+    """The draw with the diagonal removed per u-node, (F*F) @ dW^2."""
+    F, om, dy, kend = s.F, s.omega, s.dy, s.kend
+    g = _replica_normals(seed, STREAM_ROSENBLATT, replicas, dy.size)
+    dw = (g * np.sqrt(dy)).T
+    v = F @ dw
+    diag = 0.0 if include_diagonal else (F * F) @ (dw * dw)
+    contrib = (v * v - diag) * om[:, None]
+    out = np.empty((replicas, len(kend)))
+    acc, prev = np.zeros(replicas), 0
+    for j, k in enumerate(kend):
+        if k > prev:
+            acc = acc + contrib[prev:k].sum(axis=0)
+            prev = k
+        out[:, j] = s.C * acc
+    return out
+
+
+@given(Hp=st.floats(0.55, 0.95), inner=st.integers(16, 64),
+       trunc=st.floats(2.0, 50.0), n_steps=st.integers(1, 6),
+       uniform=st.booleans(), replicas=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_cell_space_traces_and_draw_match_node_space(Hp, inner, trunc, n_steps,
+                                                     uniform, replicas, seed):
+    if uniform:
+        grid = TimeGrid.regular(1.0, n_steps)
+    else:
+        widths = np.random.default_rng(seed).uniform(0.2, 1.0, n_steps)
+        grid = TimeGrid(points=np.concatenate([[0.0], np.cumsum(widths)]))
+    s = RosenblattSampler(Hp, grid, trunc=trunc, inner=inner, check=False)
+    for j, k in enumerate(s.kend[1:], start=1):
+        raw = RosenblattSampler._raw_variance(s.F, s.omega, s.dy, k)
+        assert raw == pytest.approx(
+            _node_space_raw_variance(s.F, s.omega, s.dy, k), rel=1e-12)
+        assert s.third_moment(j) == pytest.approx(
+            _node_space_third_moment(s, k), rel=1e-12)
+    z = s.draw(replicas, seed)
+    ref = _node_space_draw(s, replicas, seed)
+    # v^2 minus the diagonal cancels to near zero in some entries, so the
+    # tolerance is relative to the largest entry, not to each one
+    np.testing.assert_allclose(z, ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
+    assert np.array_equal(s.draw(replicas, seed, include_diagonal=True),
+                          _node_space_draw(s, replicas, seed,
+                                           include_diagonal=True))
+
+
+def test_certified_build_holds_no_node_by_node_matrix():
+    # the doubled-inner assembly is the largest the certificate makes; its
+    # u-node x u-node matrix is what a node-space trace would allocate
+    grid = TimeGrid.regular(1.0, 256)
+    tracemalloc.start()
+    try:
+        s = RosenblattSampler(0.75, grid, trunc=2.0e5, inner=256, check=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = s._assemble(s.trunc, 2 * s.inner)[0].shape[0]
+    assert peak < nodes * nodes * 8
 
 
 def test_default_truncation_fails_certificate():
