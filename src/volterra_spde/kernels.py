@@ -154,10 +154,9 @@ def calibrate_C_H(H: float) -> float:
     """
     if not 0.5 < H < 1.0:
         raise ParameterError(f"H={H} outside (1/2, 1)")
-    probe = VolterraKernel(alpha=H - 0.5,
-                           evaluate=FbmKernel(H, 1.0).evaluate,
-                           derivative=FbmKernel(H, 1.0).derivative,
-                           family="fbm")
+    unit = FbmKernel(H, 1.0)
+    probe = VolterraKernel(alpha=H - 0.5, evaluate=unit.evaluate,
+                           derivative=unit.derivative, family="fbm")
     base = covariance_quadrature(probe, 1.0, 1.0)
     if not np.isfinite(base) or base <= 0.0:
         raise NumericError(f"calibration integral for H={H} evaluated to {base}")

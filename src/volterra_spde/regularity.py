@@ -38,7 +38,7 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError, TruncationError
 from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
-                   iter_mode_convolutions)
+                   _doubled_problem, iter_mode_convolutions)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -314,16 +314,7 @@ def mean_square_increment_oracle(model: SpectralModel, noise: NoiseOperator,
 
     base = total(model, noise)
     if check:
-        from .spde import build_model
-        big = build_model(model.L, model.m, 2 * model.modes,
-                          max(model.nodes.size, 8 * model.modes))
-        if noise.kind == "diagonal":
-            ext = np.concatenate([noise.phi_k,
-                                  np.full(model.modes, noise.phi_k[-1])])
-            big_noise = NoiseOperator(kind="diagonal", phi_k=ext, p=noise.p)
-        else:
-            big_noise = noise
-        ref = total(big, big_noise)
+        ref = total(*_doubled_problem(model, noise, extend="last"))
         drift = abs(ref - base) / ref if ref > 0 else 0.0
         if drift > 0.01:
             raise TruncationError(

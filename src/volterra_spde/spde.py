@@ -17,8 +17,10 @@ over a cell of width D refined ref-fold (d = D / ref),
     omega(l, D, ref) = e^{-l d} (1 - e^{-l D}) / (ref (1 - e^{-l d})),
 
 and the whole convolution is the causal filter
-X_{n+1} = rho X_n + omega db_n, so cost is independent of the refinement
-and no exponentials of positive arguments ever appear.
+X_{n+1} = rho_n X_n + omega_n db_n, so cost is independent of the
+refinement and no exponentials of positive arguments ever appear.  It is
+solved as the unit lower-bidiagonal banded system (I - rho S) X = omega db,
+one LAPACK ``dtbtrs`` call per mode, on uniform and non-uniform grids.
 
 The factorization route computes Y^delta_u by the same pathwise rule with
 integrand (u - r)^{-beta} lambda^delta e^{-lambda (u - r)} and recovers
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from .errors import (AlignmentError, ConfigurationError, NumericError,
                      ParameterError, TruncationError)
@@ -211,8 +213,7 @@ def gamma_radonifying_norm(model: SpectralModel, noise: NoiseOperator,
         raise ParameterError(f"u must be > 0, got {u}")
     base = float(model.lp_norm(_radonifying_section(model, noise, u), p))
     if check:
-        big = _doubled_model(model)
-        big_noise = _extend_noise(noise, big)
+        big, big_noise = _doubled_problem(model, noise, extend="zero")
         ref = float(big.lp_norm(_radonifying_section(big, big_noise, u), p))
         drift = abs(ref - base) / ref if ref > 0 else 0.0
         if drift > 0.01:
@@ -222,19 +223,17 @@ def gamma_radonifying_norm(model: SpectralModel, noise: NoiseOperator,
     return base
 
 
-def _doubled_model(model: SpectralModel) -> SpectralModel:
-    return build_model(model.L, model.m, 2 * model.modes,
-                       max(model.nodes.size, 8 * model.modes))
-
-
-def _extend_noise(noise: NoiseOperator, model: SpectralModel) -> NoiseOperator:
+def _doubled_problem(model: SpectralModel, noise: NoiseOperator, *,
+                     extend: str) -> tuple[SpectralModel, NoiseOperator]:
+    """Twice the modes; diagonal noise extended by ``extend`` = "zero" (the
+    same operator) or "last" (a sequence continuing at its last value)."""
+    big = build_model(model.L, model.m, 2 * model.modes,
+                      max(model.nodes.size, 8 * model.modes))
     if noise.kind == "pointwise":
-        return noise
-    # diagonal coefficients are a modeling choice; extend by zero so the
-    # doubled model represents the same operator
-    ext = np.zeros(model.modes)
-    ext[: noise.phi_k.size] = noise.phi_k
-    return NoiseOperator(kind="diagonal", phi_k=ext, p=noise.p)
+        return big, noise
+    fill = {"zero": 0.0, "last": noise.phi_k[-1]}[extend]
+    ext = np.concatenate([noise.phi_k, np.full(model.modes, fill)])
+    return big, NoiseOperator(kind="diagonal", phi_k=ext, p=noise.p)
 
 
 def estimate_gamma_decay(model: SpectralModel, noise: NoiseOperator, p: float,
@@ -299,24 +298,22 @@ def mode_convolution(lam: float, increments: np.ndarray, grid: TimeGrid,
     """integral_0^{t_n} e^{-lam (t_n - r)} db_r for every n, per replica.
 
     ``increments`` is (replicas, N); returns (replicas, N + 1) starting
-    at zero.  Uniform grids go through a causal IIR filter; general
-    grids fall back to the explicit recursion.
+    at zero.  The recursion X_{n+1} = rho_n X_n + omega_n db_n is the unit
+    lower-bidiagonal system (I - rho S) X = omega db, solved for every
+    replica by one banded ``dtbtrs`` call on any grid, uniform or not.
     """
     dt = np.diff(grid.points)
     out = np.empty((increments.shape[0], grid.points.size))
     out[:, 0] = 0.0
-    if grid.uniform:
-        rho = float(np.exp(-lam * dt[0]))
-        om = exp_convolution_weight(lam, dt[0], refinement)
-        out[:, 1:] = lfilter([om], [1.0, -rho], increments, axis=1)
-        return out
-    om = exp_convolution_weight(lam, dt, refinement)
-    rho = np.exp(-lam * dt)
-    x = np.zeros(increments.shape[0])
-    for n in range(dt.size):
-        x = x * rho[n] + om[n] * increments[:, n]
-        out[:, n + 1] = x
-    return out
+    np.multiply(exp_convolution_weight(lam, dt, refinement), increments,
+                out=out[:, 1:])
+    band = np.ones((2, grid.points.size))     # row 0 unread with diag="U"
+    band[1, :-1] = -np.exp(-lam * dt)
+    # out.T is F-contiguous, so the solve overwrites out without a copy
+    sol, info = dtbtrs(band, out.T, uplo="L", diag="U", overwrite_b=1)
+    if info != 0:
+        raise NumericError(f"banded convolution solve: dtbtrs info={info}")
+    return sol.T
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,21 @@ from volterra_spde import cli
 from volterra_spde.cli import DEFAULT_SEED, full_suite
 
 
+def _margins(node):
+    """Every value under a ``margin`` or ``*_margin`` key, at any depth."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _margins(value)
+        elif key == "margin" or str(key).endswith("_margin"):
+            yield value
+
+
 def _report(res):
+    worst = max(_margins(res["details"]), default=None)
     line = (f"CRITERION {res['criterion']} ({res['name']}): "
-            f"{'PASS' if res['passed'] else 'FAIL'}")
+            f"{'PASS' if res['passed'] else 'FAIL'} "
+            + ("margin n/a" if worst is None else f"worst margin {worst:.4g}"))
     print(line)
     assert res["passed"], f"{line}\n{json.dumps(res['details'], indent=2, default=cli._jsonify)}"
 

@@ -307,17 +307,31 @@ def test_main_reads_config_file(tmp_path):
     assert manifest["config"]["mc"]["replicas"] == 500
 
 
-def test_module_entry_point_prints_no_runpy_warning(tmp_path):
+def _env_with_src():
     src = os.path.dirname(os.path.dirname(volterra_spde.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point_prints_no_runpy_warning(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "volterra_spde", "gamma-decay",
          "--output", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=_env_with_src(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert (tmp_path / "gamma_decay.json").exists()
+
+
+def test_package_import_loads_no_scipy_signal_or_stats():
+    probe = ("import sys, volterra_spde; "
+             "print([m for m in ('scipy.signal', 'scipy.stats') "
+             "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_env_with_src(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_main_rejects_bad_input(tmp_path, capsys):

@@ -174,19 +174,30 @@ def test_zero_eigenvalue_convolution_is_cumsum(grid_256):
     assert np.all(out[:, 0] == 0.0)
 
 
-def test_nonuniform_grid_recursion_matches_direct_sum():
-    rng = np.random.default_rng(3)
-    pts = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, 14)), [1.0]])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 40), uniform=st.booleans(),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 1e4), st.just(1e6)),
+       ref=st.one_of(st.none(), st.integers(1, 256)),
+       replicas=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_nonuniform_grid_recursion_matches_direct_sum(n, uniform, lam, ref,
+                                                      replicas, seed):
+    rng = np.random.default_rng(seed)
+    dt = np.full(n, 0.05) if uniform else rng.uniform(0.01, 1.0, n)
+    pts = np.concatenate([[0.0], np.cumsum(dt)])
     grid = TimeGrid(points=pts)
-    assert not grid.uniform
-    incs = rng.standard_normal((3, 15))
-    lam, ref = 2.5, 32
+    assert grid.uniform == (uniform or n == 1)
+    # lam = 1e6 puts lam * dt above 745, where rho underflows to 0
+    assert lam < 1e6 or np.all(np.exp(-lam * np.diff(pts)) == 0.0)
+    incs = rng.standard_normal((replicas, 2 * n))[:, ::2]    # strided view
+    before = incs.copy()
     out = mode_convolution(lam, incs, grid, ref)
+    assert np.array_equal(incs, before)
+    assert np.all(out[:, 0] == 0.0)
     om = exp_convolution_weight(lam, np.diff(pts), ref)
-    for n in range(1, 16):
-        direct = sum(om[j] * incs[:, j] * np.exp(-lam * (pts[n] - pts[j + 1]))
-                     for j in range(n))
-        assert np.allclose(out[:, n], direct, rtol=1e-11, atol=1e-13)
+    for m in range(1, n + 1):
+        direct = sum(om[j] * incs[:, j] * np.exp(-lam * (pts[m] - pts[j + 1]))
+                     for j in range(m))
+        assert np.allclose(out[:, m], direct, rtol=1e-11, atol=1e-13)
 
 
 def test_convolution_agrees_with_pathwise_integral(fbm_ens_075, grid_256):
