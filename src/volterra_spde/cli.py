@@ -588,7 +588,7 @@ def _crit_kernel_covariance(seed, scale, c_h_scale: float = 1.0):
         resid = abs(calibrate_C_H(H) / closed - 1.0)
         ok = dev <= 2e-3 and resid <= 1e-3
         per_H[str(H)] = {"max_abs_dev": dev, "calibration_resid": resid,
-                         "ok": ok}
+                         "margin": max(dev / 2e-3, resid / 1e-3), "ok": ok}
         passed &= ok
     return {"criterion": 1, "name": "kernel_covariance", "passed": bool(passed),
             "details": {"grid": "10x10 in [0.1,1]^2", "c_h_scale": c_h_scale,
@@ -650,7 +650,8 @@ def _crit_hypercontractivity(seed, scale, replicas=None):
         ratio = moment_ratio(sample, 4.0, 2.0)
         se = moment_ratio_stderr(sample, 4.0, 2.0)
         ok = abs(ratio - target) <= 3.0 * se
-        checks[name] = {"ratio": ratio, "target": target, "se": se, "ok": ok}
+        checks[name] = {"ratio": ratio, "target": target, "se": se,
+                        "margin": abs(ratio - target) / (3.0 * se), "ok": ok}
         passed &= ok
     sweep_reps = max(1500, int(round(4000 * scale)))
     for n, p, q in ((1, 2.0, 4.0), (2, 2.0, 4.0), (1, 1.0, 2.0), (2, 1.0, 2.0)):
@@ -799,7 +800,8 @@ def _crit_regularity(seed, scale):
         per_case["rosenblatt_vs_gaussian"] = {
             "gaussian": twin["fbm"]["exponent"],
             "rosenblatt": twin["rosenblatt"]["exponent"],
-            "gap": gap, "tol_2se": float(tol), "ok": twin_ok}
+            "gap": gap, "tol_2se": float(tol), "margin": float(gap / tol),
+            "ok": twin_ok}
         passed &= twin_ok
 
     return {"criterion": 8, "name": "regularity_verdicts",
@@ -836,7 +838,8 @@ def _crit_elementary_operator(seed, scale):
         ok = dev <= 0.10
         per_pq[f"p{p:g}_q{q:g}"] = {
             "mean_ratio": float(np.mean(ratios)), "max_rel_dev": dev,
-            "embedding_constant": float(np.max(emb)), "ok": ok}
+            "embedding_constant": float(np.max(emb)), "margin": dev / 0.10,
+            "ok": ok}
         passed &= ok
     return {"criterion": 9, "name": "elementary_operator", "passed": bool(passed),
             "details": {"replicas": reps, "n_ops": n_ops, "per_pq": per_pq}}

@@ -230,7 +230,8 @@ class FbmSampler:
     """Exact Gaussian sampler holding one Cholesky factor per grid.
 
     Building the factor is the O(N^3) part; keeping it on the sampler
-    lets a cylindrical simulation reuse it across all modes.
+    lets a cylindrical simulation reuse it across all modes.  ``draw`` is
+    ``core`` (the normals) times ``linear_map`` = chol^T.
     """
 
     def __init__(self, H: float, grid: TimeGrid):
@@ -241,11 +242,11 @@ class FbmSampler:
         t = grid.points[1:]
         cov = fbm_covariance_closed_form(H, t[:, None], t[None, :])
         try:
-            self._chol = np.linalg.cholesky(cov)
+            self.linear_map = np.linalg.cholesky(cov).T
         except np.linalg.LinAlgError:
             jitter = 1e-12 * np.trace(cov) / cov.shape[0]
             try:
-                self._chol = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+                self.linear_map = np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0])).T
             except np.linalg.LinAlgError as exc:
                 raise NumericError(
                     f"fBm covariance matrix not PSD after jitter {jitter:.3e} "
@@ -260,13 +261,16 @@ class FbmSampler:
         matrix product may reorder floating-point sums across different
         batch shapes, so extended runs agree to rounding, not bitwise.
         """
-        if replicas < 1:
-            raise ParameterError(f"replicas must be >= 1, got {replicas}")
-        g = _replica_normals(seed, stream, replicas, self.grid.n_steps, *prefix)
         out = np.empty((replicas, self.grid.points.size))
         out[:, 0] = 0.0
-        out[:, 1:] = g @ self._chol.T
+        out[:, 1:] = self.core(replicas, seed, stream, *prefix) @ self.linear_map
         return out
+
+    def core(self, replicas: int, seed: int, stream: int = STREAM_FBM, *prefix):
+        """(replicas, N) normals, one substream per replica."""
+        if replicas < 1:
+            raise ParameterError(f"replicas must be >= 1, got {replicas}")
+        return _replica_normals(seed, stream, replicas, self.grid.n_steps, *prefix)
 
 
 def simulate_fbm(H: float, grid: TimeGrid, replicas: int, seed: int) -> PathEnsemble:
@@ -321,7 +325,8 @@ class RosenblattSampler:
     Holds the cell-averaged feature matrix F (u-nodes x cells), the
     u-quadrature weights omega, cell widths, and the per-output-time node
     counts; the calibration constant C comes from the exact variance of
-    the discrete quadratic form at t = T.
+    the discrete quadratic form at t = T.  ``draw`` is ``core`` (the
+    form) times ``linear_map`` (the recolouring, None for the identity).
 
     The variance behind C, the doubling certificate and the third moment
     are traces over the cell-space Gram matrix G = F^T Omega F, so they
@@ -360,6 +365,7 @@ class RosenblattSampler:
         # gets from its Cholesky factor.  Moment formulas on this object
         # keep describing the raw quadratic form.
         self._recolor = self._recolor_map() if recolor else None
+        self.linear_map = self._recolor         # None is the identity
 
     # -- construction -------------------------------------------------------
 
@@ -518,6 +524,16 @@ class RosenblattSampler:
         the matrix products may round differently for another replica
         count, so a prefix of a longer draw agrees to rounding.
         """
+        core = self.core(replicas, seed, stream, *prefix,
+                         include_diagonal=include_diagonal)
+        out = np.empty((replicas, self.grid.points.size))
+        out[:, 0] = 0.0
+        out[:, 1:] = core if self.linear_map is None else core @ self.linear_map
+        return out
+
+    def core(self, replicas: int, seed: int, stream: int = STREAM_ROSENBLATT,
+             *prefix, include_diagonal: bool = False) -> np.ndarray:
+        """(replicas, N) calibrated quadratic form at t_1..t_N (0 at t_0)."""
         if replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {replicas}")
         F, om, dy, kend = self.F, self.omega, self.dy, self.kend
@@ -541,9 +557,7 @@ class RosenblattSampler:
             if not include_diagonal:
                 out[lo:hi] -= np.square(dw.T) @ self._diag_table
             out[lo:hi] *= self.C
-        if self._recolor is not None:
-            out[:, 1:] = out[:, 1:] @ self._recolor
-        return out
+        return out[:, 1:]
 
 
 def simulate_rosenblatt(Hp: float, grid: TimeGrid, trunc: float | None = None,
@@ -621,11 +635,17 @@ class LazyCylindricalEnsemble:
         self.family, self.params, self.modes = family, params, modes
         self.grid, self.replicas, self.seed = grid, replicas, seed
 
-    def coordinate(self, n: int) -> PathEnsemble:
+    def _key(self, n: int) -> tuple:
         if not 0 <= n < self.modes:
             raise AlignmentError(f"coordinate {n} of a {self.modes}-mode driver")
-        values = self.sampler.draw(self.replicas, self.seed, STREAM_CYLINDRICAL,
-                                   self._family_stream, n)
+        return self.seed, STREAM_CYLINDRICAL, self._family_stream, n
+
+    def core(self, n: int) -> np.ndarray:
+        """Coordinate n before the sampler's ``linear_map``: (replicas, N)."""
+        return self.sampler.core(self.replicas, *self._key(n))
+
+    def coordinate(self, n: int) -> PathEnsemble:
+        values = self.sampler.draw(self.replicas, *self._key(n))
         return PathEnsemble(grid=self.grid, values=values, family=self.family,
                             params=dict(self.params, mode=n), seed=self.seed)
 

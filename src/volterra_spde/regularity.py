@@ -4,7 +4,8 @@ The measured quantity is always a mean-square (variogram) exponent: the
 least-squares slope of log E||X_{t+h} - X_t||^2 against log h over a
 dyadic set of lags, divided by two.  Almost-sure Holder exponents are
 not estimated directly; the moment-equivalence machinery justifies
-reading mean-square exponents as Holder orders.
+reading mean-square exponents as Holder orders.  ``field_variogram``
+folds the increments it reads into the driver's last linear map.
 
 Exact second moments of field increments come from the per-mode identity
 
@@ -38,7 +39,7 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError, TruncationError
 from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
-                   _doubled_problem, iter_mode_convolutions)
+                   _doubled_problem, mode_increment_weights)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -230,11 +231,13 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
                     deltas=(0.0,), refinement: int | None = 256) -> list[dict]:
     """Streaming variogram of a mild-solution field, one pass over modes.
 
-    Modes are sampled, convolved, reduced, and discarded one at a time,
-    so grids far beyond what a materialized field allows are feasible.
-    The driver is a :class:`LazyCylindricalEnsemble`, whose substreams
-    match ``simulate_cylindrical``, so a materialized run with the same
-    seed produces identical increments.
+    No path is formed: with the driver's draw ``core @ linear_map``, mode
+    k's increments are c_k core_k @ (linear_map @ V_k), V_k from
+    :func:`~volterra_spde.spde.mode_increment_weights`, and one product
+    maps V for a block of at most replicas // pairs modes (never more
+    than one replicas x N path).  The cores match ``simulate_cylindrical``
+    substream for substream, so ``solve_mild`` + :func:`variogram_exponent`
+    on the same seed agree to rounding.
     Only p = 2 norms are mode-separable; ``deltas`` lists the V_{delta,2}
     weights to accumulate in the same pass (delta = 0 is the L^2 norm).
     """
@@ -246,23 +249,22 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
     c = noise.mode_coefficients(model)
     lam = model.eigenvalues
     pairs = [(b, lag) for lag in lags for b in bases]
-    acc = {d: np.zeros((replicas, len(pairs))) for d in deltas}
-    for k, _, conv in iter_mode_convolutions(model, noise, driver, grid,
-                                             refinement):
-        for j, (b, lag) in enumerate(pairs):
-            d_k = c[k] * (conv[:, b + lag] - conv[:, b])
-            sq = d_k * d_k
-            for d in deltas:
-                acc[d][:, j] += lam[k] ** (2.0 * d) * sq
+    P, A = len(pairs), driver.sampler.linear_map
+    shared = driver.core(0) if noise.kind == "pointwise" else None
+    pw = 2.0 * np.asarray(deltas, dtype=float)[:, None, None]
+    acc = np.zeros((len(deltas), replicas, P))
+    block = max(1, replicas // P)
+    for lo in range(0, model.modes, block):
+        ks = range(lo, min(lo + block, model.modes))
+        M = np.hstack([mode_increment_weights(lam[k], grid, pairs, refinement)
+                       for k in ks])
+        M = M if A is None else A @ M
+        for i, k in enumerate(ks):
+            z = driver.core(k) if shared is None else shared
+            acc += lam[k] ** pw * np.square(c[k] * (z @ M[:, i * P:(i + 1) * P]))
     h = np.array([grid.points[lag] for lag in lags])
-    out = []
-    for d in deltas:
-        Q_by_lag = [np.mean([acc[d][:, pairs.index((b, lag))] for b in bases], axis=0)
-                    for lag in lags]
-        res = _moments_to_result(h, Q_by_lag)
-        res["delta"] = d
-        out.append(res)
-    return out
+    Q = acc.reshape(len(deltas), replicas, len(lags), len(bases)).mean(axis=3)
+    return [dict(_moments_to_result(h, q.T), delta=d) for d, q in zip(deltas, Q)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ and the whole convolution is the causal filter
 X_{n+1} = rho_n X_n + omega_n db_n, so cost is independent of the
 refinement and no exponentials of positive arguments ever appear.  It is
 solved as the unit lower-bidiagonal banded system (I - rho S) X = omega db,
-one LAPACK ``dtbtrs`` call per mode, on uniform and non-uniform grids.
+one LAPACK ``dtbtrs`` call per mode, on uniform and non-uniform grids;
+its transpose gives the path weights of chosen increments of X.
 
 The factorization route computes Y^delta_u by the same pathwise rule with
 integrand (u - r)^{-beta} lambda^delta e^{-lambda (u - r)} and recovers
@@ -57,7 +58,7 @@ __all__ = [
     "estimate_gamma_decay",
     "exp_convolution_weight",
     "mode_convolution",
-    "iter_mode_convolutions",
+    "mode_increment_weights",
     "solve_mild",
     "fractional_power_norm",
     "per_mode_variance_oracle",
@@ -302,18 +303,37 @@ def mode_convolution(lam: float, increments: np.ndarray, grid: TimeGrid,
     lower-bidiagonal system (I - rho S) X = omega db, solved for every
     replica by one banded ``dtbtrs`` call on any grid, uniform or not.
     """
-    dt = np.diff(grid.points)
     out = np.empty((increments.shape[0], grid.points.size))
     out[:, 0] = 0.0
-    np.multiply(exp_convolution_weight(lam, dt, refinement), increments,
-                out=out[:, 1:])
-    band = np.ones((2, grid.points.size))     # row 0 unread with diag="U"
-    band[1, :-1] = -np.exp(-lam * dt)
+    np.multiply(exp_convolution_weight(lam, np.diff(grid.points), refinement),
+                increments, out=out[:, 1:])
     # out.T is F-contiguous, so the solve overwrites out without a copy
-    sol, info = dtbtrs(band, out.T, uplo="L", diag="U", overwrite_b=1)
+    return _solve_band(lam, grid, out.T, "N").T
+
+
+def mode_increment_weights(lam: float, grid: TimeGrid, pairs,
+                           refinement: int | None = 64) -> np.ndarray:
+    """(N, len(pairs)) V: ``path[:, 1:] @ V`` is ``conv[:, b + lag] -
+    conv[:, b]`` per (b, lag) in ``pairs``, for ``conv = mode_convolution(
+    lam, diff(path), grid, refinement)`` and a path starting at zero."""
+    omega = exp_convolution_weight(lam, np.diff(grid.points), refinement)
+    sel = np.zeros((grid.points.size, len(pairs)), order="F")
+    for j, (b, lag) in enumerate(pairs):
+        sel[b + lag, j], sel[b, j] = 1.0, -1.0
+    w = omega[:, None] * _solve_band(lam, grid, sel, "T")[1:]
+    w[:-1] -= w[1:]
+    return w
+
+
+def _solve_band(lam: float, grid: TimeGrid, rhs: np.ndarray, trans: str):
+    """(I - rho S) X = rhs, or its transpose, solved over rhs when F-ordered."""
+    band = np.ones((2, grid.points.size))     # row 0 unread with diag="U"
+    band[1, :-1] = -np.exp(-lam * np.diff(grid.points))
+    sol, info = dtbtrs(band, rhs, uplo="L", trans=trans, diag="U",
+                       overwrite_b=1)
     if info != 0:
         raise NumericError(f"banded convolution solve: dtbtrs info={info}")
-    return sol.T
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -355,27 +375,6 @@ def _coordinate(driver, n: int) -> PathEnsemble:
     return driver if isinstance(driver, PathEnsemble) else driver.coordinate(n)
 
 
-def iter_mode_convolutions(model: SpectralModel, noise: NoiseOperator, driver,
-                           grid: TimeGrid, refinement: int | None):
-    """Yield (k, driver path, integral_0^t e^{-lambda_k (t-r)} db_r) per mode.
-
-    Diagonal noise convolves coordinate k of a cylindrical driver (eager,
-    or lazy and drawn here) for mode k; pointwise noise takes its one
-    driver path once and convolves it for every mode.  Mode k's driver is
-    released before mode k + 1's is drawn, so a consumer that drops what
-    it was given holds one mode at a time.
-    """
-    shared = noise.kind == "pointwise"
-    for k in range(model.modes):
-        if k == 0 or not shared:
-            path = _coordinate(driver, 0 if shared else k)
-            incs = np.diff(path.values, axis=1)
-        yield k, path, mode_convolution(model.eigenvalues[k], incs, grid,
-                                        refinement)
-        if not shared:
-            del path, incs
-
-
 def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
                x0: np.ndarray | None, grid: TimeGrid,
                refinement: int | None = 64,
@@ -411,15 +410,19 @@ def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
         keep = np.unique([0, *(grid.index(t) for t in times)])
         out_grid = TimeGrid(points=grid.points[keep])
     flow = np.exp(-model.eigenvalues[:, None] * out_grid.points[None, :])
-    for k, path, conv in iter_mode_convolutions(model, noise, driver, grid,
-                                                refinement):
+    for k in range(model.modes):
+        if k < n_drivers:       # pointwise noise reuses its one driver path
+            path = _coordinate(driver, k)
+            incs = np.diff(path.values, axis=1)
         if k == 0:
-            paths = np.empty((conv.shape[0], model.modes, out_grid.points.size))
+            paths = np.empty((incs.shape[0], model.modes, out_grid.points.size))
             meta = {"driver_family": path.family, "driver_params": path.params,
                     "seed": path.seed, "noise": noise.kind,
                     "refinement": refinement}
-        paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * conv[:, keep]
-        del path, conv          # not held while the next mode is drawn
+        paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * mode_convolution(
+            model.eigenvalues[k], incs, grid, refinement)[:, keep]
+        if n_drivers > 1:
+            del path, incs      # not held while the next mode is drawn
     return MildSolutionField(grid=out_grid, model=model, mode_paths=paths,
                              metadata=meta)
 

@@ -11,6 +11,7 @@ the full pass takes on the order of ten minutes.
 """
 
 import json
+import time
 
 import pytest
 
@@ -28,49 +29,55 @@ def _margins(node):
             yield value
 
 
-def _report(res):
+def _report(crit):
+    """Run one criterion at full scale; print its verdict, worst margin and
+    wall time; fail with its details if it did not pass."""
+    started = time.perf_counter()
+    res = crit(DEFAULT_SEED, 1.0)
+    wall = time.perf_counter() - started
     worst = max(_margins(res["details"]), default=None)
     line = (f"CRITERION {res['criterion']} ({res['name']}): "
             f"{'PASS' if res['passed'] else 'FAIL'} "
-            + ("margin n/a" if worst is None else f"worst margin {worst:.4g}"))
+            + ("margin n/a" if worst is None else f"worst margin {worst:.4g}")
+            + f", {wall:.1f} s")
     print(line)
     assert res["passed"], f"{line}\n{json.dumps(res['details'], indent=2, default=cli._jsonify)}"
 
 
 def test_criterion_01_kernel_covariance():
-    _report(cli._crit_kernel_covariance(DEFAULT_SEED, 1.0))
+    _report(cli._crit_kernel_covariance)
 
 
 def test_criterion_02_isometry():
-    _report(cli._crit_isometry(DEFAULT_SEED, 1.0))
+    _report(cli._crit_isometry)
 
 
 def test_criterion_03_rosenblatt_construction():
-    _report(cli._crit_rosenblatt(DEFAULT_SEED, 1.0))
+    _report(cli._crit_rosenblatt)
 
 
 def test_criterion_04_hypercontractivity():
-    _report(cli._crit_hypercontractivity(DEFAULT_SEED, 1.0))
+    _report(cli._crit_hypercontractivity)
 
 
 def test_criterion_05_gamma_decay():
-    _report(cli._crit_gamma_decay(DEFAULT_SEED, 1.0))
+    _report(cli._crit_gamma_decay)
 
 
 def test_criterion_06_mild_solution():
-    _report(cli._crit_mild_solution(DEFAULT_SEED, 1.0))
+    _report(cli._crit_mild_solution)
 
 
 def test_criterion_07_factorization():
-    _report(cli._crit_factorization(DEFAULT_SEED, 1.0))
+    _report(cli._crit_factorization)
 
 
 def test_criterion_08_regularity_verdicts():
-    _report(cli._crit_regularity(DEFAULT_SEED, 1.0))
+    _report(cli._crit_regularity)
 
 
 def test_criterion_09_elementary_operator():
-    _report(cli._crit_elementary_operator(DEFAULT_SEED, 1.0))
+    _report(cli._crit_elementary_operator)
 
 
 def _strip_timings(manifest):

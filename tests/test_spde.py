@@ -23,8 +23,8 @@ from volterra_spde.spde import (HolderParameters, MildSolutionField,
                                 factorization_constant_check,
                                 factorization_reconstruct,
                                 fractional_power_norm, gamma_radonifying_norm,
-                                mode_convolution, per_mode_variance_oracle,
-                                solve_mild)
+                                mode_convolution, mode_increment_weights,
+                                per_mode_variance_oracle, solve_mild)
 from volterra_spde.wiener_integral import StepFunction, fbm_inner_product
 
 
@@ -198,6 +198,28 @@ def test_nonuniform_grid_recursion_matches_direct_sum(n, uniform, lam, ref,
         direct = sum(om[j] * incs[:, j] * np.exp(-lam * (pts[m] - pts[j + 1]))
                      for j in range(m))
         assert np.allclose(out[:, m], direct, rtol=1e-11, atol=1e-13)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 40), uniform=st.booleans(),
+       lam=st.one_of(st.just(0.0), st.floats(0.1, 1e4), st.just(1e6)),
+       ref=st.one_of(st.none(), st.integers(1, 256)),
+       replicas=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1))
+def test_increment_weights_transpose_the_convolution(n, uniform, lam, ref,
+                                                     replicas, seed):
+    rng = np.random.default_rng(seed)
+    dt = np.full(n, 0.05) if uniform else rng.uniform(0.01, 1.0, n)
+    grid = TimeGrid(points=np.concatenate([[0.0], np.cumsum(dt)]))
+    path = np.zeros((replicas, n + 1))
+    path[:, 1:] = rng.standard_normal((replicas, n))
+    bases = rng.integers(0, n, size=6)
+    pairs = [(int(b), int(rng.integers(1, n - b + 1))) for b in bases]
+    conv = mode_convolution(lam, np.diff(path, axis=1), grid, ref)
+    V = mode_increment_weights(lam, grid, pairs, ref)
+    assert V.shape == (n, len(pairs))
+    direct = np.column_stack([conv[:, b + lag] - conv[:, b]
+                              for b, lag in pairs])
+    assert np.allclose(path[:, 1:] @ V, direct, rtol=1e-11, atol=1e-13)
 
 
 def test_convolution_agrees_with_pathwise_integral(fbm_ens_075, grid_256):
