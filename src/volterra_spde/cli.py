@@ -11,8 +11,10 @@ Each command runs the check of its acceptance criterion at the sizes its
 config names; the criterion runs the same check at acceptance sizes.
 
 Control flow is single threaded.  Replica blocks and the BLAS kernels
-underneath provide the parallelism; every module contract is worker
-count independent, so manifests do not depend on thread counts.
+underneath provide the parallelism.  Random draws do not depend on the
+thread count, but BLAS rounding does: two runs agree byte for byte only
+at the same BLAS build and thread settings, which every manifest records
+under ``versions``.
 """
 
 from __future__ import annotations
@@ -182,8 +184,18 @@ def validate_config(cfg: dict) -> None:
 
 def _versions() -> dict:
     import scipy
+    try:        # numpy < 1.26 has no mode; a BLAS-less build has no entry
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
     return {"python": sys.version.split()[0], "numpy": np.__version__,
-            "scipy": scipy.__version__, "volterra_spde": __version__}
+            "scipy": scipy.__version__, "volterra_spde": __version__,
+            "blas": blas.get("name"), "blas_version": blas.get("version"),
+            "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+            "OMP_NUM_THREADS": os.environ.get("OMP_NUM_THREADS"),
+            "cpu_affinity": cores}
 
 
 def _jsonify(obj):
@@ -281,7 +293,7 @@ def _solve_check(model, noise, family: str, params: dict, grid: TimeGrid,
                  replicas: int, seed: int, refinement, H: float):
     """The mild solution at T and the variance check of its modes 1, 4 and
     16 there against c_k^2 times the exact per-mode variance.  Diagonal
-    noise draws each mode's driver as that mode is solved."""
+    noise draws each mode's normals as that mode is folded."""
     driver = (LazyCylindricalEnsemble(family, params, model.modes, grid,
                                       replicas, seed)
               if noise.kind == "diagonal" else

@@ -198,10 +198,6 @@ class CylindricalEnsemble:
     def coordinate(self, n: int) -> PathEnsemble:
         return self.coordinates[n]
 
-    def stacked(self) -> np.ndarray:
-        """Array view of shape (modes, replicas, N + 1)."""
-        return np.stack([c.values for c in self.coordinates])
-
 
 def _replica_normals(seed: int, stream: int, replicas: int, n: int,
                      *prefix, offset: int = 0) -> np.ndarray:

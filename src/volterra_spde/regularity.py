@@ -39,7 +39,7 @@ import numpy as np
 from .errors import AdmissibilityError, ParameterError, TruncationError
 from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
 from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
-                   _doubled_problem, mode_increment_weights)
+                   _doubled_problem, _folded_modes)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -89,12 +89,6 @@ class RegularityReport:
         }
         with open(path, "w") as fh:
             json.dump(payload, fh, indent=2)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RegularityReport":
-        with open(path) as fh:
-            payload = json.load(fh)
-        return cls(**payload)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +227,10 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
 
     No path is formed: with the driver's draw ``core @ linear_map``, mode
     k's increments are c_k core_k @ (linear_map @ V_k), V_k from
-    :func:`~volterra_spde.spde.mode_increment_weights`, and one product
-    maps V for a block of at most replicas // pairs modes (never more
-    than one replicas x N path).  The cores match ``simulate_cylindrical``
-    substream for substream, so ``solve_mild`` + :func:`variogram_exponent`
-    on the same seed agree to rounding.
+    :func:`~volterra_spde.spde.mode_increment_weights`, computed by the
+    block loop ``solve_mild`` uses for its kept times.  The cores match
+    ``simulate_cylindrical`` substream for substream, so ``solve_mild`` +
+    :func:`variogram_exponent` on the same seed agree to rounding.
     Only p = 2 norms are mode-separable; ``deltas`` lists the V_{delta,2}
     weights to accumulate in the same pass (delta = 0 is the L^2 norm).
     """
@@ -246,22 +239,14 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
         raise ParameterError(f"need >= 1000 replicas, got {replicas}")
     driver = LazyCylindricalEnsemble(family, params, noise.driver_modes(model),
                                      grid, replicas, seed)
-    c = noise.mode_coefficients(model)
     lam = model.eigenvalues
     pairs = [(b, lag) for lag in lags for b in bases]
-    P, A = len(pairs), driver.sampler.linear_map
-    shared = driver.core(0) if noise.kind == "pointwise" else None
     pw = 2.0 * np.asarray(deltas, dtype=float)[:, None, None]
-    acc = np.zeros((len(deltas), replicas, P))
-    block = max(1, replicas // P)
-    for lo in range(0, model.modes, block):
-        ks = range(lo, min(lo + block, model.modes))
-        M = np.hstack([mode_increment_weights(lam[k], grid, pairs, refinement)
-                       for k in ks])
-        M = M if A is None else A @ M
-        for i, k in enumerate(ks):
-            z = driver.core(k) if shared is None else shared
-            acc += lam[k] ** pw * np.square(c[k] * (z @ M[:, i * P:(i + 1) * P]))
+    acc = np.zeros((len(deltas), replicas, len(pairs)))
+    for k, d in _folded_modes(model, noise, driver.core,
+                              driver.sampler.linear_map, grid, pairs,
+                              replicas, refinement):
+        acc += lam[k] ** pw * np.square(d)
     h = np.array([grid.points[lag] for lag in lags])
     Q = acc.reshape(len(deltas), replicas, len(lags), len(bases)).mean(axis=3)
     return [dict(_moments_to_result(h, q.T), delta=d) for d, q in zip(deltas, Q)]

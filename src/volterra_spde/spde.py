@@ -21,7 +21,10 @@ X_{n+1} = rho_n X_n + omega_n db_n, so cost is independent of the
 refinement and no exponentials of positive arguments ever appear.  It is
 solved as the unit lower-bidiagonal banded system (I - rho S) X = omega db,
 one LAPACK ``dtbtrs`` call per mode, on uniform and non-uniform grids;
-its transpose gives the path weights of chosen increments of X.
+its transpose gives the path weights V of chosen increments of X, and
+X at kept times is the increment from X(0) = 0.  For a driver drawn as
+``core @ linear_map`` these are c_k core @ (linear_map @ V), so
+``solve_mild(times=...)`` and the streaming variogram form no path.
 
 The factorization route computes Y^delta_u by the same pathwise rule with
 integrand (u - r)^{-beta} lambda^delta e^{-lambda (u - r)} and recovers
@@ -43,10 +46,11 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import (AlignmentError, ConfigurationError, NumericError,
                      ParameterError, TruncationError)
 from .kernels import VolterraKernel
-from .processes import CylindricalEnsemble, PathEnsemble, TimeGrid
+from .processes import (CylindricalEnsemble, LazyCylindricalEnsemble,
+                        PathEnsemble, TimeGrid)
 from .quadrature import gauss_legendre_panels, two_sided_singular_rule
-from .wiener_integral import (elementary_integral, integral_variance,
-                              uniform_fbm_quadratic_form)
+from .wiener_integral import (_rs_weights_offgrid, elementary_integral,
+                              integral_variance, uniform_fbm_quadratic_form)
 
 __all__ = [
     "SpectralModel",
@@ -109,6 +113,9 @@ def build_model(L: float, m: int, modes: int, nodes: int) -> SpectralModel:
         raise ParameterError(f"need nodes >= 4*modes, got {nodes} < {4 * modes}")
     if not (L > 0.0 and m >= 1):
         raise ParameterError(f"need L > 0 and m >= 1, got L={L}, m={m}")
+    if not np.isfinite(L):
+        raise ConfigurationError(
+            f"eigenfunctions not orthonormal on a non-finite interval L={L}")
     # 32-point panels resolve the highest mode with >= 8 points per
     # wavelength at nodes = 4*modes; odd counts round the panel number up
     if nodes <= 64:
@@ -120,7 +127,7 @@ def build_model(L: float, m: int, modes: int, nodes: int) -> SpectralModel:
     E = np.sqrt(2.0 / L) * np.sin(k[:, None] * np.pi * x[None, :] / L)
     gram = (E * w[None, :]) @ E.T
     err = np.max(np.abs(gram - np.eye(modes)))
-    if not err <= 1e-6:                     # NaN from a non-finite L fails too
+    if not err <= 1e-6:
         raise ConfigurationError(
             f"eigenfunctions not orthonormal on the node quadrature: "
             f"max Gram deviation {err:.2e} (modes={modes}, nodes={nodes})")
@@ -325,6 +332,33 @@ def mode_increment_weights(lam: float, grid: TimeGrid, pairs,
     return w
 
 
+def _folded_modes(model: SpectralModel, noise: NoiseOperator, core,
+                  linear_map, grid: TimeGrid, pairs, replicas: int,
+                  refinement: int | None):
+    """Yield (k, c_k core(k) @ (linear_map @ V_k)) for every mode k.
+
+    For a driver whose coordinate n is ``core(n) @ linear_map`` after its
+    zero column (None is the identity map), these are mode k's
+    convolution differences at ``pairs``, V_k from
+    :func:`mode_increment_weights`, with no path formed.  One product maps
+    V for a block of at most replicas // pairs modes (never more than one
+    replicas x N path); pointwise noise draws its one core once.
+    """
+    c = noise.mode_coefficients(model)
+    lam = model.eigenvalues
+    P = len(pairs)
+    shared = core(0) if noise.kind == "pointwise" else None
+    block = max(1, replicas // P)
+    for lo in range(0, model.modes, block):
+        ks = range(lo, min(lo + block, model.modes))
+        M = np.hstack([mode_increment_weights(lam[k], grid, pairs, refinement)
+                       for k in ks])
+        M = M if linear_map is None else linear_map @ M
+        for i, k in enumerate(ks):
+            z = core(k) if shared is None else shared
+            yield k, c[k] * (z @ M[:, i * P:(i + 1) * P])
+
+
 def _solve_band(lam: float, grid: TimeGrid, rhs: np.ndarray, trans: str):
     """(I - rho S) X = rhs, or its transpose, solved over rhs when F-ordered."""
     band = np.ones((2, grid.points.size))     # row 0 unread with diag="U"
@@ -386,8 +420,9 @@ def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
     :class:`LazyCylindricalEnsemble` drawn one mode at a time) with
     exactly ``model.modes`` coordinates for diagonal noise, sampled on
     ``grid``.  ``times`` (grid times) keeps only t = 0 and those columns,
-    on the grid of the kept times; each kept value is the one the full
-    solve gives.
+    on the grid of the kept times.  They are folded into the driver's
+    last linear map (see :func:`mode_increment_weights`), so no path is
+    formed and each kept value agrees with the full solve's to rounding.
     """
     c = noise.mode_coefficients(model)
     n_drivers = noise.driver_modes(model)
@@ -405,24 +440,37 @@ def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (model.modes,):
         raise ParameterError(f"x0 shape {x0.shape}, expected ({model.modes},)")
-    keep, out_grid = slice(None), grid
+    keep, out_grid = None, grid
     if times is not None:
         keep = np.unique([0, *(grid.index(t) for t in times)])
         out_grid = TimeGrid(points=grid.points[keep])
+    if isinstance(driver, LazyCylindricalEnsemble):     # no coordinate drawn
+        head, params = driver, dict(driver.params, mode=0)
+        core, linear_map = driver.core, driver.sampler.linear_map
+    else:
+        head = _coordinate(driver, 0)
+        params, linear_map = head.params, None
+
+        def core(n):
+            return _coordinate(driver, n).values[:, 1:]
+    meta = {"driver_family": head.family, "driver_params": params,
+            "seed": head.seed, "noise": noise.kind, "refinement": refinement}
     flow = np.exp(-model.eigenvalues[:, None] * out_grid.points[None, :])
-    for k in range(model.modes):
-        if k < n_drivers:       # pointwise noise reuses its one driver path
-            path = _coordinate(driver, k)
-            incs = np.diff(path.values, axis=1)
-        if k == 0:
-            paths = np.empty((incs.shape[0], model.modes, out_grid.points.size))
-            meta = {"driver_family": path.family, "driver_params": path.params,
-                    "seed": path.seed, "noise": noise.kind,
-                    "refinement": refinement}
-        paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * mode_convolution(
-            model.eigenvalues[k], incs, grid, refinement)[:, keep]
-        if n_drivers > 1:
-            del path, incs      # not held while the next mode is drawn
+    paths = np.empty((head.replicas, model.modes, out_grid.points.size))
+    if keep is not None:
+        # X_k(0) = 0 without the flow, so column j is the increment (0, j)
+        for k, d in _folded_modes(model, noise, core, linear_map, grid,
+                                  [(0, j) for j in keep], head.replicas,
+                                  refinement):
+            paths[:, k, :] = x0[k] * flow[k][None, :] + d
+    else:
+        for k in range(model.modes):
+            if k < n_drivers:   # pointwise noise reuses its one driver path
+                incs = np.diff(_coordinate(driver, k).values, axis=1)
+            paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * \
+                mode_convolution(model.eigenvalues[k], incs, grid, refinement)
+            if n_drivers > 1:
+                del incs        # not held while the next mode is drawn
     return MildSolutionField(grid=out_grid, model=model, mode_paths=paths,
                              metadata=meta)
 
@@ -473,31 +521,6 @@ def factorization_constant_check(beta: float, r: float, t: float) -> float:
         raise ParameterError(f"need r < t, got {r} >= {t}")
     nodes, weights = two_sided_singular_rule(r, t, -beta, beta - 1.0)
     return float(np.sum(weights))
-
-
-def _rs_weights_offgrid(g, u: float, grid: TimeGrid, refinement: int) -> np.ndarray:
-    """Native-cell weights of the refined left-point rule up to off-grid u.
-
-    Full cells carry the left-point mean of g; the cell containing u
-    carries the mean over [t_j, u) scaled by the interpolated fraction of
-    the path increment.
-    """
-    times = grid.points
-    n = times.size - 1
-    w = np.zeros(n)
-    j_u = int(np.searchsorted(times, u, "right") - 1)
-    j_u = min(j_u, n)
-    if j_u > 0:
-        left = times[:j_u, None]
-        width = np.diff(times)[:j_u, None]
-        offs = np.arange(refinement)[None, :] / refinement
-        pts = left + width * offs
-        w[:j_u] = np.mean(np.asarray(g(pts.ravel())).reshape(pts.shape), axis=1)
-    rem = u - times[j_u] if j_u < n else 0.0
-    if rem > 1e-14 and j_u < n:
-        s = times[j_u] + (rem / refinement) * np.arange(refinement)
-        w[j_u] = np.mean(np.asarray(g(s))) * rem / (times[j_u + 1] - times[j_u])
-    return w
 
 
 def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,

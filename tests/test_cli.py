@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import volterra_spde
+from volterra_spde import cli
 from volterra_spde.cli import (DEFAULT_SEED, _solve_check, apply_override,
                                config_hash, main, parse_config, run,
                                serialize_config, validate_config)
@@ -159,13 +160,31 @@ def test_run_simulate_writes_manifest_and_ensemble(tmp_path):
     assert manifest["verdicts"] == {"covariance": True}
     assert set(manifest["artifacts"]) == {"ensemble.csv",
                                           "covariance_check.json"}
-    assert manifest["versions"]["volterra_spde"]
+    versions = manifest["versions"]
+    assert versions["volterra_spde"] and versions["blas"]
+    assert versions["blas_version"]
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        assert versions[name] == os.environ.get(name)
+    assert versions["cpu_affinity"] == len(os.sched_getaffinity(0))
     assert manifest["wall_clock_s"] > 0.0
     ens = PathEnsemble.from_csv(str(tmp_path / "ensemble.csv"))
     assert ens.values.shape == (500, 129)
     assert np.all(ens.values[:, 0] == 0.0)
     check = json.loads((tmp_path / "covariance_check.json").read_text())
     assert check["ok"] and check["margin"] <= 1.0
+
+
+@pytest.mark.parametrize("show_config", [
+    lambda: None,                                   # numpy < 1.26: no mode
+    lambda mode=None: {"Build Dependencies": {}},   # a build without BLAS
+])
+def test_versions_without_affinity_or_blas_entry(monkeypatch, show_config):
+    # the manifest is still written where the platform or numpy lacks them
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(np, "show_config", show_config)
+    versions = cli._versions()
+    assert versions["cpu_affinity"] == os.cpu_count()
+    assert versions["blas"] is None and versions["blas_version"] is None
 
 
 def test_run_truncation_failure_exits_3(tmp_path):

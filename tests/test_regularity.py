@@ -5,6 +5,8 @@ exponents drawn through an independent closed-form Cholesky route, so a
 biased slope fit cannot silently validate the process samplers.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -294,5 +296,5 @@ def test_report_json_roundtrip(tmp_path):
                              config={"modes": 96}, extras={"note": "x"})
     path = tmp_path / "report.json"
     rep.to_json(str(path))
-    back = RegularityReport.from_json(str(path))
+    back = RegularityReport(**json.loads(path.read_text()))
     assert back == rep
