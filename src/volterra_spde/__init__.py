@@ -14,7 +14,6 @@ from .errors import (
 )
 from .kernels import (
     VolterraKernel,
-    FbmKernel,
     make_fbm_kernel,
     calibrate_C_H,
     fbm_constant_closed_form,
@@ -53,7 +52,6 @@ from .wiener_integral import (
     elementary_integral,
     riemann_stieltjes,
     random_step_function,
-    embedding_bound_check,
 )
 from .spde import (
     SpectralModel,
@@ -85,7 +83,7 @@ __all__ = [
     "VolterraError", "ParameterError", "ConfigurationError",
     "AdmissibilityError", "NumericError", "TruncationError",
     "AlignmentError", "UndefinedRatioError",
-    "VolterraKernel", "FbmKernel", "make_fbm_kernel", "calibrate_C_H",
+    "VolterraKernel", "make_fbm_kernel", "calibrate_C_H",
     "fbm_constant_closed_form", "covariance_quadrature",
     "fbm_covariance_closed_form", "check_alpha_regularity",
     "hermite", "ChaosVariableSpec", "sample_linear_combination",
@@ -96,7 +94,7 @@ __all__ = [
     "make_sampler", "simulate_cylindrical",
     "StepFunction", "IntegrandNorms", "apply_Kstar", "integral_variance",
     "fbm_inner_product", "compute_norms", "elementary_integral",
-    "riemann_stieltjes", "random_step_function", "embedding_bound_check",
+    "riemann_stieltjes", "random_step_function",
     "SpectralModel", "build_model", "NoiseOperator", "HolderParameters",
     "gamma_radonifying_norm", "estimate_gamma_decay",
     "MildSolutionField", "solve_mild", "per_mode_variance_oracle",

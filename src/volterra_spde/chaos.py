@@ -15,11 +15,12 @@ that bound empirically across coefficient dimensions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError, UndefinedRatioError
+from .quadrature import ols_fit
 from .seeding import STREAM_CHAOS, STREAM_CHAOS_COEFF, child_seed, substream
 
 __all__ = [
@@ -30,6 +31,10 @@ __all__ = [
     "moment_ratio_stderr",
     "hypercontractivity_sweep",
 ]
+
+# chaos variables of the sweep: terms per variable, Gaussian dimension
+_SWEEP_TERMS = 4
+_SWEEP_GAUSSIAN_DIM = 8
 
 
 def hermite(n: int, x):
@@ -167,14 +172,13 @@ def moment_ratio_stderr(ensemble: np.ndarray, q: float, p: float,
 
 def hypercontractivity_sweep(n: int, p: float, q: float, dims,
                              trials: int = 30, seed: int = 0,
-                             replicas: int = 4000, terms: int = 4,
-                             gaussian_dim: int = 8) -> dict:
+                             replicas: int = 4000) -> dict:
     """Empirical sup of the L^q/L^p ratio across coefficient dimensions.
 
     For each coefficient dimension m, draws ``trials`` random chaos
-    variables (random coefficient vectors in R^m, random unit mixing
-    directions in R^{gaussian_dim}) and records the max and the full set
-    of moment ratios.  Pass criteria:
+    variables (``_SWEEP_TERMS`` random coefficient vectors in R^m, random
+    unit mixing directions in R^``_SWEEP_GAUSSIAN_DIM``) and records the
+    max and the full set of moment ratios.  Pass criteria:
 
     * ``monotone_pass``: the sup is non-increasing in dimension up to 5%
       slack, i.e. sup_{m'} <= 1.05 sup_m for every m < m'.
@@ -190,8 +194,8 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
         ratios = np.empty(trials)
         for t in range(trials):
             rng = substream(seed, STREAM_CHAOS_COEFF, di, t)
-            coeff = rng.standard_normal((terms, m))
-            dirs = rng.standard_normal((terms, gaussian_dim))
+            coeff = rng.standard_normal((_SWEEP_TERMS, m))
+            dirs = rng.standard_normal((_SWEEP_TERMS, _SWEEP_GAUSSIAN_DIM))
             spec = ChaosVariableSpec(order=n, coefficients=coeff,
                                      directions=dirs, space_p=p if p >= 1 else 2.0)
             ens = sample_linear_combination(
@@ -203,7 +207,7 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
     monotone = all(sups[k + 1] <= 1.05 * min(sups[: k + 1]) for k in range(len(dims) - 1))
     x = np.concatenate([np.full(trials, np.log2(m)) for m in dims])
     y = np.concatenate([all_ratios[m] for m in dims])
-    slope, slope_se = _ols_slope(x, y)
+    slope, slope_se, _ = ols_fit(x, y)
     return {
         "dims": dims,
         "sup_ratio": sup_ratio,
@@ -213,13 +217,3 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
         "trend_se": slope_se,
         "trend_pass": bool(slope <= 1.96 * slope_se),
     }
-
-
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xc = x - np.mean(x)
-    sxx = np.sum(xc * xc)
-    slope = float(np.sum(xc * y) / sxx)
-    resid = y - np.mean(y) - slope * xc
-    dof = max(x.size - 2, 1)
-    se = float(np.sqrt(np.sum(resid * resid) / dof / sxx))
-    return slope, se

@@ -63,8 +63,7 @@ _DEFAULTS = {
     "noise": {"kind": "diagonal", "z": None, "phi_rule": "ones", "p": 2.0},
     "mc": {"replicas": 2000, "seed": DEFAULT_SEED, "n_phi": 8, "scale": 1.0},
     "grids": {"T": 1.0, "n_steps": 512, "refinement": 64, "lags": None},
-    "params": {"alpha": 0.25, "gamma": 0.25, "delta": 0.0, "beta": 0.1,
-               "p": 2.0},
+    "params": {"alpha": 0.25, "delta": 0.0, "beta": 0.1},
     "output": {"directory": None, "formats": ["csv", "json"]},
 }
 
@@ -169,6 +168,10 @@ def validate_config(cfg: dict) -> None:
             f"driver.H must satisfy 1/2 < H < 1, got {drv['H']}")
     if nz["kind"] not in ("diagonal", "pointwise"):
         raise ConfigurationError(f"noise.kind {nz['kind']!r} unknown")
+    if not set(cfg["output"]["formats"]) <= {"csv", "json"}:
+        raise ConfigurationError(
+            f"output.formats {cfg['output']['formats']!r} names a format "
+            f"other than csv and json")
     if not nz["p"] >= 1.0:
         raise ParameterError(f"noise.p must satisfy p >= 1, got {nz['p']}")
     if cfg["mc"]["replicas"] < 2:
@@ -178,8 +181,9 @@ def validate_config(cfg: dict) -> None:
     noise.mode_coefficients(model)
     if cfg["command"] in ("gamma-decay", "factorize", "regularity"):
         p = cfg["params"]
-        HolderParameters(alpha=p["alpha"], gamma=p["gamma"], delta=p["delta"],
-                         beta=p["beta"], p=p["p"])
+        # only factorize reads beta
+        HolderParameters(alpha=p["alpha"], delta=p["delta"],
+                         beta=p["beta"] if cfg["command"] == "factorize" else 0.0)
 
 
 def _versions() -> dict:
@@ -223,7 +227,7 @@ def _noise_from(cfg: dict, model: SpectralModel) -> NoiseOperator:
     nz = cfg["noise"]
     if nz["kind"] == "pointwise":
         z = model.L / 2.0 if nz["z"] is None else float(nz["z"])
-        return NoiseOperator(kind="pointwise", z=z, p=nz["p"])
+        return NoiseOperator(kind="pointwise", z=z)
     if nz["phi_rule"] == "ones":
         phi = np.ones(model.modes)
     elif nz["phi_rule"] == "zero":
@@ -236,7 +240,7 @@ def _noise_from(cfg: dict, model: SpectralModel) -> NoiseOperator:
         raise ConfigurationError(
             f"noise.phi_rule {nz['phi_rule']!r} not one of ones/zero/smoothed "
             f"or an explicit list")
-    return NoiseOperator(kind="diagonal", phi_k=phi, p=nz["p"])
+    return NoiseOperator(kind="diagonal", phi_k=phi)
 
 
 def _problem(cfg: dict) -> tuple[SpectralModel, NoiseOperator, TimeGrid]:
@@ -394,15 +398,15 @@ def _factorization_check(model, noise, family: str, params: dict,
 
 def _regularity_check(model, noise, family: str, params: dict, grid: TimeGrid,
                       replicas: int, seed: int, *, gamma: float, alpha: float,
-                      beta: float = 0.0, p: float = 2.0, deltas=(0.0,),
-                      lags=None, refinement=256) -> list:
+                      p: float = 2.0, deltas=(0.0,), lags=None,
+                      refinement=256) -> list:
     """The streaming variogram of the mild solution and, per delta, its
     Holder verdict under the decay exponent ``gamma``: (result, report)."""
     vg = field_variogram(model, noise, family, params, grid, replicas, seed,
                          lags=lags, deltas=deltas, refinement=refinement)
     case = "pointwise" if noise.kind == "pointwise" else "generic"
     return [(res, regularity_verdict(res, HolderParameters(
-                alpha=alpha, gamma=gamma, delta=res["delta"], beta=beta, p=p),
+                alpha=alpha, gamma=gamma, delta=res["delta"], p=p),
                 case)) for res in vg]
 
 
@@ -496,9 +500,8 @@ def _cmd_regularity(cfg, outdir):
     replicas = max(mc["replicas"], 1000)
     [(vg, report)] = _regularity_check(
         model, noise, family, params, grid, replicas, mc["seed"],
-        gamma=gamma_hat, alpha=prm["alpha"], beta=prm["beta"],
-        p=cfg["noise"]["p"], deltas=(prm["delta"],), lags=gr["lags"],
-        refinement=gr["refinement"])
+        gamma=gamma_hat, alpha=prm["alpha"], p=cfg["noise"]["p"],
+        deltas=(prm["delta"],), lags=gr["lags"], refinement=gr["refinement"])
     report = dataclasses.replace(report, config={
         "model": mdl, "noise": cfg["noise"],
         "grid": {"T": gr["T"], "n_steps": gr["n_steps"]},

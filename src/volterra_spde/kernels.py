@@ -27,17 +27,17 @@ at r = 0, which the substitution r = m w^(1/(1 - 2 alpha)) removes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.special import beta as _beta
 
 from .errors import NumericError, ParameterError
-from .quadrature import _unit_panel_rule, gauss_legendre_panels
+from .quadrature import _unit_panel_rule
 
 __all__ = [
     "VolterraKernel",
-    "FbmKernel",
     "make_fbm_kernel",
     "calibrate_C_H",
     "fbm_constant_closed_form",
@@ -85,46 +85,15 @@ class VolterraKernel:
 # fBm kernel
 # ---------------------------------------------------------------------------
 
-class FbmKernel:
-    """Callable pair (evaluate, derivative) for the fBm kernel K_H."""
-
-    def __init__(self, H: float, C_H: float):
-        self.H = float(H)
-        self.C_H = float(C_H)
-        self.alpha = self.H - 0.5
-
-    def evaluate(self, t, r):
-        """K_H(t, r), broadcasting over t and r; zero outside 0 < r < t."""
-        t = np.asarray(t, dtype=float)
-        r = np.asarray(r, dtype=float)
-        t, r = np.broadcast_arrays(t, r)
-        out = np.zeros(t.shape)
-        mask = (r > 0.0) & (r < t)
-        if np.any(mask):
-            out[mask] = self._eval_inner(t[mask], r[mask])
-        return out if out.ndim else float(out)
-
-    def _eval_inner(self, t, r):
-        a = self.alpha
-        vmax = (t - r) ** a
-        v, w = _unit_panel_rule(*_KERNEL_PANELS)
-        # u = r + (v vmax)^(1/alpha); the Jacobian of v = (u-r)^alpha
-        # cancels (u - r)^(H - 3/2) exactly, leaving a bounded integrand.
-        u = r[:, None] + (vmax[:, None] * v[None, :]) ** (1.0 / a)
-        vals = np.sum(w[None, :] * (u / r[:, None]) ** (self.H - 0.5), axis=1)
-        return (self.C_H / a) * vmax * vals
-
-    def derivative(self, u, r):
-        """dK_H/du(u, r) = C_H (u/r)^(H-1/2) (u-r)^(H-3/2) for 0 < r < u."""
-        u = np.asarray(u, dtype=float)
-        r = np.asarray(r, dtype=float)
-        u, r = np.broadcast_arrays(u, r)
-        out = np.zeros(u.shape)
-        mask = (r > 0.0) & (r < u)
-        if np.any(mask):
-            um, rm = u[mask], r[mask]
-            out[mask] = self.C_H * (um / rm) ** (self.H - 0.5) * (um - rm) ** (self.H - 1.5)
-        return out if out.ndim else float(out)
+def _on_support(fn, t, r):
+    """fn(t, r) where 0 < r < t and zero elsewhere, broadcasting t and r."""
+    t, r = np.broadcast_arrays(np.asarray(t, dtype=float),
+                               np.asarray(r, dtype=float))
+    out = np.zeros(t.shape)
+    mask = (r > 0.0) & (r < t)
+    if np.any(mask):
+        out[mask] = fn(t[mask], r[mask])
+    return out if out.ndim else float(out)
 
 
 def make_fbm_kernel(H: float, C_H: float | None = None) -> VolterraKernel:
@@ -138,10 +107,25 @@ def make_fbm_kernel(H: float, C_H: float | None = None) -> VolterraKernel:
         raise ParameterError(f"H={H} outside (1/2, 1)")
     if C_H is None:
         C_H = calibrate_C_H(H)
-    impl = FbmKernel(H, C_H)
-    return VolterraKernel(alpha=H - 0.5, evaluate=impl.evaluate,
-                          derivative=impl.derivative, family="fbm",
-                          params={"H": H, "C_H": C_H})
+    h, c, a = float(H), float(C_H), float(H) - 0.5
+
+    def evaluate(t, r):
+        # u = r + (v vmax)^(1/alpha); the Jacobian of v = (u-r)^alpha
+        # cancels (u - r)^(H - 3/2) exactly, leaving a bounded integrand.
+        vmax = (t - r) ** a
+        v, w = _unit_panel_rule(*_KERNEL_PANELS)
+        u = r[:, None] + (vmax[:, None] * v[None, :]) ** (1.0 / a)
+        vals = np.sum(w[None, :] * (u / r[:, None]) ** (h - 0.5), axis=1)
+        return (c / a) * vmax * vals
+
+    def derivative(u, r):
+        """dK_H/du(u, r) = C_H (u/r)^(H-1/2) (u-r)^(H-3/2)."""
+        return c * (u / r) ** (h - 0.5) * (u - r) ** (h - 1.5)
+
+    return VolterraKernel(alpha=H - 0.5,
+                          evaluate=partial(_on_support, evaluate),
+                          derivative=partial(_on_support, derivative),
+                          family="fbm", params={"H": H, "C_H": C_H})
 
 
 def calibrate_C_H(H: float) -> float:
@@ -152,12 +136,7 @@ def calibrate_C_H(H: float) -> float:
     with the Beta-function closed form to ~1e-6 (see
     :func:`fbm_constant_closed_form`), far inside the 1e-3 contract.
     """
-    if not 0.5 < H < 1.0:
-        raise ParameterError(f"H={H} outside (1/2, 1)")
-    unit = FbmKernel(H, 1.0)
-    probe = VolterraKernel(alpha=H - 0.5, evaluate=unit.evaluate,
-                           derivative=unit.derivative, family="fbm")
-    base = covariance_quadrature(probe, 1.0, 1.0)
+    base = covariance_quadrature(make_fbm_kernel(H, 1.0), 1.0, 1.0)
     if not np.isfinite(base) or base <= 0.0:
         raise NumericError(f"calibration integral for H={H} evaluated to {base}")
     return 1.0 / np.sqrt(base)

@@ -63,6 +63,7 @@ __all__ = [
 
 _REPLICA_BLOCK = 2000  # cap on transient (n_nodes x replicas) arrays
 _ROW_BLOCK = 512       # cap on transient (u-node rows x cells) arrays
+_G_NODES = 4           # Gauss nodes per u-panel of the Rosenblatt quadrature
 
 
 # ---------------------------------------------------------------------------
@@ -149,34 +150,6 @@ class PathEnsemble:
             for r, row in enumerate(self.values.tolist()):
                 fh.write("".join([f"{r}{m}{v}\n"
                                   for m, v in zip(mids, map(fmt, row))]))
-
-    @classmethod
-    def from_csv(cls, path: str, family: str = "custom", params: dict | None = None,
-                 seed: int = 0) -> "PathEnsemble":
-        """Read ``to_csv`` rows: replica-major, each replica on the same times.
-
-        Replica 0's leading rows give the times. A missing, extra or
-        out-of-order row raises ``ParameterError`` naming the first bad line.
-        """
-        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if raw.shape[0] == 0 or raw.shape[1] != 3:
-            raise ParameterError(f"{path}: expected rows of replica,time,value")
-        n_pts = int(np.argmax(raw[:, 0] != 0.0)) or raw.shape[0]
-        times = raw[:n_pts, 1]
-        row = np.arange(raw.shape[0])
-        want = np.column_stack([row // n_pts, times[row % n_pts]])
-        bad = np.flatnonzero(np.any(raw[:, :2] != want, axis=1))
-        if bad.size or raw.shape[0] % n_pts:
-            i = int(bad[0]) if bad.size else raw.shape[0]
-            got = (f"replica {raw[i, 0]:g}, time {raw[i, 1]:.17g}"
-                   if bad.size else "end of file")
-            raise ParameterError(
-                f"{path}: line {i + 2}: expected replica {i // n_pts}, time "
-                f"{times[i % n_pts]:.17g}, got {got}")
-        replicas = raw.shape[0] // n_pts
-        values = raw[:, 2].reshape(replicas, n_pts)
-        return cls(grid=TimeGrid(points=times), values=values, family=family,
-                   params=params or {}, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -332,7 +305,7 @@ class RosenblattSampler:
     """
 
     def __init__(self, Hp: float, grid: TimeGrid, trunc: float | None = None,
-                 inner: int = 1024, check: bool = True, g_nodes: int = 4,
+                 inner: int = 1024, check: bool = True,
                  recolor: bool = False):
         if not 0.5 < Hp < 1.0:
             raise ParameterError(f"H'={Hp} outside (1/2, 1)")
@@ -342,7 +315,6 @@ class RosenblattSampler:
         self.grid = grid
         self.trunc = float(trunc) if trunc is not None else 5.0 * grid.T
         self.inner = int(inner)
-        self.g_nodes = int(g_nodes)
         self.sigma = (2.0 - Hp) / 2.0
         self._build(self.trunc, self.inner)
         raw = self._raw_variance(self.F, self.omega, self.dy, self.kend[-1])
@@ -385,9 +357,9 @@ class RosenblattSampler:
         yl, yr, dy = edges[:-1], edges[1:], np.diff(edges)
         interior = edges[(edges > 0.0) & (edges < T)]
         cuts = np.unique(np.concatenate([times, interior]))
-        u, omega = panels_from_edges(cuts, n_nodes=self.g_nodes)
+        u, omega = panels_from_edges(cuts, n_nodes=_G_NODES)
         # every output time is a cut, so kend is strictly increasing
-        kend = [int(np.searchsorted(cuts, t, "right") - 1) * self.g_nodes
+        kend = [int(np.searchsorted(cuts, t, "right") - 1) * _G_NODES
                 for t in times]
         e1 = 1.0 - self.sigma
         # cell average of (u - y)_+^{-sigma}: difference of antiderivative

@@ -22,20 +22,6 @@ import numpy as np
 from .errors import ParameterError
 
 
-@lru_cache(maxsize=64)
-def _unit_panel_rule(n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, 1], cached."""
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    edges = np.linspace(0.0, 1.0, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def gauss_legendre_panels(a: float, b: float, n_panels: int = 8,
                           n_nodes: int = 16) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [a, b]."""
@@ -59,6 +45,16 @@ def panels_from_edges(edges: np.ndarray, n_nodes: int = 4) -> tuple[np.ndarray, 
     half = 0.5 * np.diff(edges)
     nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
     weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+@lru_cache(maxsize=64)
+def _unit_panel_rule(n_panels: int, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1], cached."""
+    nodes, weights = panels_from_edges(np.linspace(0.0, 1.0, n_panels + 1),
+                                       n_nodes)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
     return nodes, weights
 
 
@@ -114,3 +110,25 @@ def two_sided_singular_rule(a: float, b: float, left_exponent: float,
     wl = wl * (b - ul) ** right_exponent
     wr = wr * (ur - a) ** left_exponent
     return np.concatenate([ul, ur]), np.concatenate([wl, wr])
+
+
+def ols_fit(x: np.ndarray, y: np.ndarray,
+            y_se: np.ndarray | None = None) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): (slope, se, r_squared).
+
+    ``se`` is the residual standard error of the slope; with ``y_se``
+    (per-point standard errors of y) the propagated term
+    sum_i (dslope/dy_i)^2 y_se_i^2 is added in quadrature.
+    """
+    xc = x - np.mean(x)
+    sxx = np.sum(xc * xc)
+    slope = float(np.sum(xc * y) / sxx)
+    resid = y - np.mean(y) - slope * xc
+    ss_res = np.sum(resid * resid)
+    se_sq = ss_res / max(x.size - 2, 1) / sxx
+    if y_se is not None:
+        a = xc / sxx
+        se_sq = se_sq + np.sum(a * a * y_se ** 2)
+    ss_tot = np.sum((y - np.mean(y)) ** 2)
+    r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, float(np.sqrt(se_sq)), float(r_sq)

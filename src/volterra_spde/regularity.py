@@ -20,8 +20,7 @@ of one (s, t) pair are evaluated by one batched FFT autocorrelation.
 Verdicts compare the measured exponent against the predicted bounds
 
     generic        nu < alpha + 1/2 - gamma - delta,
-    pointwise      nu < alpha + 1/2 - d/(2p),
-    order-2m       nu < alpha + 1/2 - d/(4m) - delta,
+    pointwise      nu < alpha + 1/2 - d/(2p) - delta,
 
 (d = 1 throughout) with the rule: pass iff measured + 2 SE >= bound - 0.02.
 The guaranteed orders are strictly below the bound, so a measurement may
@@ -32,14 +31,15 @@ than the theory allows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import AdmissibilityError, ParameterError, TruncationError
+from .errors import ParameterError, TruncationError
 from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
-from .spde import (MildSolutionField, NoiseOperator, SpectralModel,
-                   _doubled_problem, _folded_modes)
+from .quadrature import ols_fit
+from .spde import (HolderParameters, MildSolutionField, NoiseOperator,
+                   SpectralModel, _doubled_problem, _folded_modes)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -57,7 +57,6 @@ __all__ = [
 _FORMULAS = {
     "generic": "alpha + 1/2 - gamma - delta",
     "pointwise": "alpha + 1/2 - d/(2p), d = 1",
-    "order2m": "alpha + 1/2 - d/(4m) - delta, d = 1",
 }
 
 
@@ -76,23 +75,12 @@ class RegularityReport:
     extras: dict = field(default_factory=dict)
 
     def to_json(self, path: str) -> None:
-        payload = {
-            "measured_exponent": self.measured_exponent,
-            "measured_se": self.measured_se,
-            "predicted_bound": self.predicted_bound,
-            "formula": self.formula,
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "oracle_exponent": self.oracle_exponent,
-            "config": self.config,
-            "extras": self.extras,
-        }
         with open(path, "w") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
 
 
 # ---------------------------------------------------------------------------
-# lag/base defaults and the slope fit
+# lag/base defaults and the moments behind each fit
 # ---------------------------------------------------------------------------
 
 def default_lags(n_steps: int) -> list[int]:
@@ -128,27 +116,16 @@ def _lag_set(n_steps: int, lags, bases) -> tuple[list[int], list[int]]:
     return lags, bases
 
 
-def _fit_exponent(h: np.ndarray, D: np.ndarray, D_se: np.ndarray) -> tuple[float, float]:
-    """Slope/2 of log D vs log h with combined residual + MC standard error."""
-    x, y = np.log(h), np.log(D)
-    xc = x - np.mean(x)
-    sxx = np.sum(xc * xc)
-    slope = float(np.sum(xc * y) / sxx)
-    resid = y - np.mean(y) - slope * xc
-    dof = max(x.size - 2, 1)
-    se_resid_sq = np.sum(resid * resid) / dof / sxx
-    a = xc / sxx
-    se_mc_sq = np.sum(a * a * (D_se / D) ** 2)
-    return slope / 2.0, float(np.sqrt(se_resid_sq + se_mc_sq) / 2.0)
-
-
 def _moments_to_result(h, Q_by_lag):
-    """Assemble {exponent, se, ...} from per-replica squared increments."""
+    """Assemble {exponent, se, ...} from per-replica squared increments.
+
+    The exponent is half the slope of log D against log h; its SE adds
+    the Monte Carlo error of each log D to the fit residuals."""
     D = np.array([np.mean(q) for q in Q_by_lag])
     D_se = np.array([np.std(q) / np.sqrt(q.size) for q in Q_by_lag])
-    exponent, se = _fit_exponent(h, D, D_se)
-    return {"exponent": exponent, "se": se, "lags_h": h, "D": D, "D_se": D_se,
-            "n_replicas": int(Q_by_lag[0].size)}
+    slope, se, _ = ols_fit(np.log(h), np.log(D), D_se / D)
+    return {"exponent": slope / 2.0, "se": se / 2.0, "lags_h": h, "D": D,
+            "D_se": D_se, "n_replicas": int(Q_by_lag[0].size)}
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +139,8 @@ def variogram_exponent(data, norm: str = "scalar", lags: list[int] | None = None
 
     ``norm`` selects what ||X_{t+h} - X_t|| means: "scalar" for path
     ensembles, "L2" for the spatial L^2 norm of a field (Parseval over
-    modes), "V_delta_p" for the fractional-power norm with the given
-    (delta, p), and "sup_L2" for the sup over spatial nodes of the
-    pointwise mean-square increment.  Requires >= 4 lags and >= 1000
-    replicas.
+    modes) and "V_delta_p" for the fractional-power norm with the given
+    (delta, p).  Requires >= 4 lags and >= 1000 replicas.
     """
     if isinstance(data, PathEnsemble):
         if norm != "scalar":
@@ -200,22 +175,13 @@ def variogram_exponent(data, norm: str = "scalar", lags: list[int] | None = None
 
 def _field_increment_sq(fld: MildSolutionField, dcoeff: np.ndarray, norm: str,
                         delta: float, p: float) -> np.ndarray:
-    lam = fld.model.eigenvalues
     if norm == "L2":
         return np.sum(dcoeff * dcoeff, axis=1)
     if norm == "V_delta_p":
         if p == 2.0:
-            w = lam ** (2.0 * delta)
+            w = fld.model.eigenvalues ** (2.0 * delta)
             return np.sum(w[None, :] * dcoeff * dcoeff, axis=1)
-        vals = (dcoeff * lam[None, :] ** delta) @ fld.model.eigenfunctions
-        return fld.model.lp_norm(vals, p) ** 2
-    if norm == "sup_L2":
-        vals = dcoeff @ fld.model.eigenfunctions
-        # sup over nodes of the pointwise second moment; every replica is
-        # assigned the same profile so the MC SE machinery still applies
-        ms = np.mean(vals * vals, axis=0)
-        j = int(np.argmax(ms))
-        return vals[:, j] ** 2
+        return fld.model.fractional_norm(dcoeff, delta, p) ** 2
     raise ParameterError(f"unknown norm {norm!r}")
 
 
@@ -324,71 +290,42 @@ def oracle_variogram_exponent(model: SpectralModel, noise: NoiseOperator,
                                               times[b + lag], delta, n_cells)
                  for b in bases])
         for lag in lags])
-    exponent, se = _fit_exponent(h, D, np.zeros_like(D))
-    return {"exponent": exponent, "se": se, "lags_h": h, "D": D}
+    slope, se, _ = ols_fit(np.log(h), np.log(D))
+    return {"exponent": slope / 2.0, "se": se / 2.0, "lags_h": h, "D": D}
 
 
 # ---------------------------------------------------------------------------
 # predicted bounds and verdicts
 # ---------------------------------------------------------------------------
 
-def predicted_bound(params, case: str) -> float:
-    """The theoretical Holder-order bound for one configuration.
-
-    ``params`` needs fields alpha, delta, and, per case, gamma (generic),
-    p (pointwise), or m (order2m, read from params.m or params.p left
-    unused).  Inadmissible gamma >= alpha + 1/2 raises.
-    """
-    alpha = params.alpha if hasattr(params, "alpha") else params["alpha"]
-    get = (lambda k, d=0.0: getattr(params, k, d)) if hasattr(params, "alpha") \
-        else (lambda k, d=0.0: params.get(k, d))
-    delta = get("delta", 0.0)
+def predicted_bound(params: HolderParameters, case: str) -> float:
+    """The theoretical Holder-order bound of ``params`` in one case:
+    "generic" reads gamma and delta, "pointwise" p and delta."""
     if case == "generic":
-        gamma = get("gamma", 0.0)
-        if not gamma < alpha + 0.5:
-            raise AdmissibilityError(
-                f"gamma={gamma} >= alpha + 1/2 = {alpha + 0.5}; no admissible "
-                f"Holder order exists")
-        return float(alpha + 0.5 - gamma - delta)
+        return float(params.alpha + 0.5 - params.gamma - params.delta)
     if case == "pointwise":
-        p = get("p", 2.0)
-        return float(alpha + 0.5 - 1.0 / (2.0 * p) - delta)
-    if case == "order2m":
-        m = int(get("m", 1))
-        return float(alpha + 0.5 - 1.0 / (4.0 * m) - delta)
+        return float(params.alpha + 0.5 - 1.0 / (2.0 * params.p) - params.delta)
     raise ParameterError(f"unknown case {case!r}")
 
 
-def regularity_verdict(measured, params, case: str,
+def regularity_verdict(measured: dict, params: HolderParameters, case: str,
                        oracle_exponent: float | None = None,
                        config: dict | None = None,
                        extras: dict | None = None) -> RegularityReport:
     """Assemble the report and apply measured + 2 SE >= bound - 0.02.
 
-    ``measured`` is a field/ensemble (then :func:`variogram_exponent`
-    runs with defaults) or a result dict from one of the estimators.
-    A measured exponent at or above 1 marks the saturated (smooth) case,
-    which passes regardless of the bound.  The report's ``margin`` is
+    ``measured`` is a result dict of one of the estimators.  A measured
+    exponent at or above 1 marks the saturated (smooth) case, which
+    passes regardless of the bound.  The report's ``margin`` is
     (bound - 0.02 - measured) / (2 SE), 0 when saturated; <= 1 passes.
     """
-    get = (lambda k, d=None: params.get(k, d)) if isinstance(params, dict) \
-        else (lambda k, d=None: getattr(params, k, d))
-    if not isinstance(measured, dict):
-        norm = "V_delta_p" if get("delta", 0.0) > 0 else \
-            ("L2" if isinstance(measured, MildSolutionField) else "scalar")
-        measured = variogram_exponent(measured, norm=norm,
-                                      delta=get("delta", 0.0), p=get("p", 2.0))
     bound = predicted_bound(params, case)
     extras = dict(extras or {})
     if case == "pointwise":
         # the decay actually measured for the heat kernel would give the
         # generic bound alpha + 1/2 - gamma-hat; record both readings
         extras.setdefault("bound_from_p", bound)
-        gamma = get("gamma")
-        if gamma is not None and gamma < (get("alpha") + 0.5):
-            extras.setdefault("bound_from_gamma",
-                              float(get("alpha") + 0.5 - gamma
-                                    - get("delta", 0.0)))
+        extras.setdefault("bound_from_gamma", predicted_bound(params, "generic"))
     saturated = measured["exponent"] >= 1.0
     if saturated:
         extras["saturated"] = True

@@ -30,9 +30,6 @@ STREAM_ROSENBLATT = 0x02
 STREAM_CYLINDRICAL = 0x03
 STREAM_CHAOS = 0x04
 STREAM_CHAOS_COEFF = 0x05
-STREAM_ISOMETRY = 0x06
-STREAM_ELEMENTARY_OP = 0x07
-STREAM_EMBEDDING = 0x08
 STREAM_TEST = 0x7F
 
 _MASK64 = (1 << 64) - 1

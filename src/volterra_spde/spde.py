@@ -43,12 +43,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
 
-from .errors import (AlignmentError, ConfigurationError, NumericError,
-                     ParameterError, TruncationError)
+from .errors import (AdmissibilityError, AlignmentError, ConfigurationError,
+                     NumericError, ParameterError, TruncationError)
 from .kernels import VolterraKernel
 from .processes import (CylindricalEnsemble, LazyCylindricalEnsemble,
                         PathEnsemble, TimeGrid)
-from .quadrature import gauss_legendre_panels, two_sided_singular_rule
+from .quadrature import gauss_legendre_panels, ols_fit, two_sided_singular_rule
 from .wiener_integral import (_rs_weights_offgrid, elementary_integral,
                               integral_variance, uniform_fbm_quadratic_form)
 
@@ -64,12 +64,16 @@ __all__ = [
     "mode_convolution",
     "mode_increment_weights",
     "solve_mild",
-    "fractional_power_norm",
     "per_mode_variance_oracle",
     "factorization_constant_check",
     "factorization_reconstruct",
     "elementary_operator_check",
 ]
+
+# factorization route: refinement of the pathwise Y^delta_u integrals, and
+# (panels, nodes) of the u-quadrature after w = (T - u)^beta
+_FACTOR_REFINEMENT = 16
+_FACTOR_U_PANELS = (12, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +92,23 @@ class SpectralModel:
     eigenvalues: np.ndarray
     eigenfunctions: np.ndarray   # (modes, n_nodes)
 
-    def eigenfunction_at(self, k: int, x):
-        """e_k(x) = sqrt(2/L) sin(k pi x / L), 1-based mode index."""
-        return np.sqrt(2.0 / self.L) * np.sin(k * np.pi * np.asarray(x) / self.L)
-
     def lp_norm(self, values: np.ndarray, p: float) -> np.ndarray:
         """L^p(0, L) norm over the node quadrature, batched over rows."""
         v = np.atleast_2d(values)
         out = np.sum(self.weights[None, :] * np.abs(v) ** p, axis=1) ** (1.0 / p)
         return out if np.asarray(values).ndim > 1 else float(out[0])
+
+    def fractional_norm(self, coeff: np.ndarray, delta: float,
+                        p: float) -> np.ndarray:
+        """|| sum_k lambda_k^delta coeff_k e_k ||_{L^p}, one per row of coeff.
+
+        The Dirichlet spectrum is strictly positive, so no spectral shift
+        is needed for the fractional power.
+        """
+        if delta < 0.0:
+            raise ParameterError(f"delta must be >= 0, got {delta}")
+        weighted = coeff * self.eigenvalues[None, :] ** delta
+        return self.lp_norm(weighted @ self.eigenfunctions, p)
 
 
 def build_model(L: float, m: int, modes: int, nodes: int) -> SpectralModel:
@@ -142,7 +154,6 @@ class NoiseOperator:
     kind: str
     z: float | None = None
     phi_k: np.ndarray | None = None
-    p: float = 2.0
 
     def __post_init__(self):
         if self.kind == "pointwise":
@@ -191,8 +202,9 @@ class HolderParameters:
                 f"factorization needs beta + delta < alpha + 1/2, got "
                 f"{self.beta} + {self.delta} >= {self.alpha + 0.5}")
         if not 0.0 <= self.gamma < self.alpha + 0.5:
-            raise ParameterError(
-                f"gamma={self.gamma} outside [0, {self.alpha + 0.5})")
+            raise AdmissibilityError(
+                f"gamma={self.gamma} outside [0, {self.alpha + 0.5}); no "
+                f"admissible Holder order exists")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +253,7 @@ def _doubled_problem(model: SpectralModel, noise: NoiseOperator, *,
         return big, noise
     fill = {"zero": 0.0, "last": noise.phi_k[-1]}[extend]
     ext = np.concatenate([noise.phi_k, np.full(model.modes, fill)])
-    return big, NoiseOperator(kind="diagonal", phi_k=ext, p=noise.p)
+    return big, NoiseOperator(kind="diagonal", phi_k=ext)
 
 
 def estimate_gamma_decay(model: SpectralModel, noise: NoiseOperator, p: float,
@@ -259,17 +271,12 @@ def estimate_gamma_decay(model: SpectralModel, noise: NoiseOperator, p: float,
     norms = np.array([gamma_radonifying_norm(model, noise, u, p) for u in u_grid])
     if np.any(norms <= 0.0):
         raise NumericError("gamma-norm vanished on the fit grid")
-    x, y = np.log(u_grid), np.log(norms)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = np.sum((y - fitted) ** 2)
-    ss_tot = np.sum((y - np.mean(y)) ** 2)
-    r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    gamma_hat = -float(slope)
+    slope, _, r_sq = ols_fit(np.log(u_grid), np.log(norms))
+    gamma_hat = -slope
     return {
         "gamma_hat": gamma_hat,
         "admissible": bool(gamma_hat < alpha + 0.5 - 0.02),
-        "r_squared": float(r_sq),
+        "r_squared": r_sq,
         "fit_warning": bool(r_sq < 0.99),
         "norms": norms,
     }
@@ -475,21 +482,6 @@ def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
                              metadata=meta)
 
 
-def fractional_power_norm(field: MildSolutionField, delta: float, p: float,
-                          t: float) -> np.ndarray:
-    """|| sum_k lambda_k^delta X_k(t) e_k ||_{L^p} per replica.
-
-    The Dirichlet spectrum is strictly positive, so no spectral shift is
-    needed for the fractional power.
-    """
-    if delta < 0.0:
-        raise ParameterError(f"delta must be >= 0, got {delta}")
-    coeff = field.mode_paths[:, :, field.grid.index(t)]
-    weighted = coeff * field.model.eigenvalues[None, :] ** delta
-    vals = weighted @ field.model.eigenfunctions
-    return field.model.lp_norm(vals, p)
-
-
 def per_mode_variance_oracle(lam: float, t: float, H: float,
                              n_cells: int = 4096) -> float:
     """H(2H-1) iint_{[0,t]^2} e^{-lam(t-u)-lam(t-v)} |u-v|^{2H-2} du dv.
@@ -525,8 +517,7 @@ def factorization_constant_check(beta: float, r: float, t: float) -> float:
 
 def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
                               driver, beta: float, delta: float, grid: TimeGrid,
-                              alpha: float, refinement: int = 16,
-                              n_panels: int = 12, n_nodes: int = 8) -> MildSolutionField:
+                              alpha: float) -> MildSolutionField:
     """Stochastic convolution at t = T through the factorization identity.
 
     Per mode, Y^delta_u is the pathwise integral of
@@ -548,7 +539,8 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
         raise AlignmentError("driver grid differs from solver grid")
     T = grid.T
     # u-quadrature after w = (T - u)^beta
-    w_nodes, w_weights = gauss_legendre_panels(0.0, T ** beta, n_panels, n_nodes)
+    w_nodes, w_weights = gauss_legendre_panels(0.0, T ** beta,
+                                               *_FACTOR_U_PANELS)
     u_nodes = T - w_nodes ** (1.0 / beta)
     Lam = np.sin(np.pi * beta) / np.pi
     replicas = base.values.shape[0]
@@ -563,12 +555,12 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
                 continue
             def integrand(r, u=u, lam=lam):
                 return (u - r) ** (-beta) * lam ** delta * np.exp(-lam * (u - r))
-            wvec = _rs_weights_offgrid(integrand, u, grid, refinement)
+            wvec = _rs_weights_offgrid(integrand, u, grid, _FACTOR_REFINEMENT)
             y_u = incs @ wvec
             acc += wq * np.exp(-lam * (T - u)) * lam ** (-delta) * y_u
         paths[:, k, -1] = (Lam / beta) * c[k] * acc
     meta = {"driver_family": base.family, "beta": beta, "delta": delta,
-            "noise": noise.kind, "refinement": refinement}
+            "noise": noise.kind, "refinement": _FACTOR_REFINEMENT}
     return MildSolutionField(grid=TimeGrid(points=grid.points[[0, -1]]),
                              model=model, mode_paths=paths, metadata=meta)
 

@@ -21,9 +21,7 @@ moment is computed two independent ways:
 
 Agreement of the two is a cross-check, not an assumption.  The same
 rectangle machinery without the H(2H - 1) constant gives the upper-bound
-functional with weight |u - v|^{2 alpha - 1}, and the induced embedding
-L^{2/(1+2 alpha)}(0, T) into the integrand space is probed empirically by
-ratio sweeps over random step functions.
+functional with weight |u - v|^{2 alpha - 1}.
 
 Pathwise integration of smooth integrands (Young regime, paths of Holder
 order > 1/2) uses left-point Riemann-Stieltjes sums on a refined grid:
@@ -43,7 +41,6 @@ from .errors import AlignmentError, NumericError, ParameterError
 from .kernels import VolterraKernel
 from .processes import PathEnsemble, TimeGrid
 from .quadrature import _unit_panel_rule, gauss_legendre_panels
-from .seeding import STREAM_EMBEDDING, substream
 
 __all__ = [
     "StepFunction",
@@ -56,7 +53,6 @@ __all__ = [
     "compute_norms",
     "elementary_integral",
     "riemann_stieltjes",
-    "embedding_bound_check",
     "random_step_function",
 ]
 
@@ -306,7 +302,7 @@ def _rs_weights_offgrid(g, u: float, grid: TimeGrid, refinement: int) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# embedding ratio sweep
+# random integrands
 # ---------------------------------------------------------------------------
 
 def random_step_function(T: float, n_steps: int, rng,
@@ -329,39 +325,3 @@ def random_step_function(T: float, n_steps: int, rng,
         bp = np.concatenate([[0.0], picked, [times[-1]]])
     return StepFunction(breakpoints=bp, values=rng.standard_normal(bp.size - 1))
 
-
-def embedding_bound_check(phi: StepFunction, kernel: VolterraKernel,
-                          trials: int, seed: int = 0) -> dict:
-    """Ratio isometry-norm over L^{2/(1+2 alpha)} norm, phi plus random trials.
-
-    Reports the empirical constant sup ratio; the embedding claim is that
-    it stays bounded over integrands, which the spike-function scaling
-    test in the suite probes at the critical exponent.
-    """
-    a2 = 1.0 + 2.0 * kernel.alpha
-    p_emb = 2.0 / a2
-
-    def ratio(f):
-        num = integral_variance(f, kernel)
-        dx = np.diff(f.breakpoints)
-        den = np.sum(np.abs(f.values) ** p_emb * dx) ** a2
-        if den == 0.0:
-            return None
-        return num / den
-
-    rng = substream(seed, STREAM_EMBEDDING)
-    ratios = []
-    base = ratio(phi)
-    if base is not None:
-        ratios.append(base)
-    for _ in range(trials):
-        f = random_step_function(phi.T, 8, rng)
-        r = ratio(f)
-        if r is not None:
-            ratios.append(r)
-    ratios = np.asarray(ratios)
-    return {
-        "empirical_C": float(np.max(ratios)) if ratios.size else 0.0,
-        "ratios": ratios,
-        "passed": bool(ratios.size == 0 or np.all(np.isfinite(ratios))),
-    }

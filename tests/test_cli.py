@@ -4,8 +4,10 @@ Exit codes: 0 success, 2 invalid configuration, 3 numeric failure with a
 certificate, 4 completed run whose verdicts include a FAIL.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -21,7 +23,7 @@ from volterra_spde.cli import (DEFAULT_SEED, _solve_check, apply_override,
                                config_hash, main, parse_config, run,
                                serialize_config, validate_config)
 from volterra_spde.errors import ConfigurationError, ParameterError
-from volterra_spde.processes import PathEnsemble, TimeGrid
+from volterra_spde.processes import TimeGrid
 from volterra_spde.spde import NoiseOperator, build_model
 
 
@@ -102,6 +104,10 @@ def test_validation_names_the_inequality():
         validate_config(_cfg('command="factorize"', "params.beta=0.7",
                              "params.delta=0.2"))
     validate_config(_cfg())
+    # only factorize reads beta, so only factorize checks it
+    for command in ("regularity", "gamma-decay"):
+        validate_config(_cfg(f'command="{command}"', "params.beta=0.7",
+                             "params.delta=0.2"))
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +147,7 @@ def test_run_handler_precondition_exits_2(tmp_path, overrides, message):
     ("solve", 'driver.H="abc"', "ConfigurationError"),
     ("solve", "mc.replicas=2.5", "ConfigurationError"),
     ("gamma-decay", "noise.phi_rule=[1.0, 0.5]", "AlignmentError"),
+    ("simulate", 'output.formats=["cvs"]', "ConfigurationError"),
 ])
 def test_run_wrong_type_or_length_exits_2(tmp_path, command, override, error):
     cfg = _cfg(f'command="{command}"', "mc.replicas=10", "grids.n_steps=16",
@@ -167,9 +174,9 @@ def test_run_simulate_writes_manifest_and_ensemble(tmp_path):
         assert versions[name] == os.environ.get(name)
     assert versions["cpu_affinity"] == len(os.sched_getaffinity(0))
     assert manifest["wall_clock_s"] > 0.0
-    ens = PathEnsemble.from_csv(str(tmp_path / "ensemble.csv"))
-    assert ens.values.shape == (500, 129)
-    assert np.all(ens.values[:, 0] == 0.0)
+    rows = np.loadtxt(tmp_path / "ensemble.csv", delimiter=",", skiprows=1)
+    values = rows[:, 2].reshape(500, 129)
+    assert np.all(values[:, 0] == 0.0)
     check = json.loads((tmp_path / "covariance_check.json").read_text())
     assert check["ok"] and check["margin"] <= 1.0
 
@@ -260,6 +267,12 @@ def test_solve_check_holds_one_mode_at_a_time():
 def test_removed_nu_leaf_is_unknown(tmp_path):
     assert main(["solve", "--set", "params.nu=0.4",
                  "--output", str(tmp_path)]) == 2
+    # noise.p is the one p, and gamma is estimated
+    for leaf in ("p", "gamma"):
+        assert main(["regularity", "--set", f"params.{leaf}=0.25",
+                     "--output", str(tmp_path)]) == 2
+        with pytest.raises(ConfigurationError, match=f"params.{leaf}"):
+            parse_config(json.dumps({"params": {leaf: 0.25}}))
 
 
 _LEAVES = ["command"] + [f"{section}.{key}"
@@ -351,6 +364,15 @@ def test_package_import_loads_no_scipy_signal_or_stats():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_exported_name_resolves():
+    modules = [volterra_spde] + [
+        importlib.import_module(f"volterra_spde.{info.name}")
+        for info in pkgutil.iter_modules(volterra_spde.__path__)]
+    missing = [f"{mod.__name__}.{name}" for mod in modules
+               for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert missing == []
 
 
 def test_main_rejects_bad_input(tmp_path, capsys):

@@ -10,11 +10,11 @@ import json
 import numpy as np
 import pytest
 
-from volterra_spde.errors import (AdmissibilityError, ParameterError,
-                                  TruncationError)
+from volterra_spde.errors import ParameterError, TruncationError
 from volterra_spde.kernels import fbm_covariance_closed_form
 from volterra_spde.processes import (PathEnsemble, RosenblattSampler,
                                      TimeGrid, simulate_cylindrical)
+from volterra_spde.quadrature import ols_fit
 from volterra_spde.regularity import (RegularityReport, _mode_increment_var,
                                       default_bases, default_lags,
                                       field_variogram,
@@ -63,6 +63,31 @@ def test_estimator_recovers_known_exponents(theta, grid_512):
         f"estimator read {res['exponent']:.4f} for theta={theta}")
     assert res["se"] < 0.02
     assert res["n_replicas"] == 2000
+
+
+def test_ols_fit_matches_polyfit():
+    rng = np.random.default_rng(3)
+    x = np.log(np.geomspace(1e-4, 1e-2, 13))
+    y = -0.3 * x + 0.05 * rng.standard_normal(x.size)
+    slope, _, r_sq = ols_fit(x, y)
+    (ref_slope, ref_icpt), (ref_res,), *_ = np.polyfit(x, y, 1, full=True)
+    assert slope == pytest.approx(ref_slope, rel=1e-12, abs=1e-12)
+    ss_tot = np.sum((y - np.mean(y)) ** 2)
+    assert r_sq == pytest.approx(1.0 - ref_res / ss_tot, rel=1e-12)
+
+
+def test_ols_fit_standard_error_by_hand():
+    # xc = (-2..2), sxx = 10, slope 8/10, residuals (-.4, .8, -1, 1.2, -.6):
+    # residual variance 3.6/3/10 = 0.12, propagated sum (xc_i/10)^2 se_i^2
+    # = 0.0124, ss_tot = 10
+    x = np.arange(5.0)
+    y = np.array([1.0, 3.0, 2.0, 5.0, 4.0])
+    y_se = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    slope, se, r_sq = ols_fit(x, y, y_se)
+    assert slope == pytest.approx(0.8, rel=1e-14)
+    assert se == pytest.approx(np.sqrt(0.12 + 0.0124), rel=1e-14)
+    assert r_sq == pytest.approx(0.64, rel=1e-14)
+    assert ols_fit(x, y)[1] == pytest.approx(np.sqrt(0.12), rel=1e-14)
 
 
 @pytest.fixture(scope="module")
@@ -115,7 +140,7 @@ def test_field_norm_variants_and_validation():
     a = variogram_exponent(field, norm="L2", lags=lags)
     b = variogram_exponent(field, norm="V_delta_p", delta=0.0, lags=lags)
     assert np.array_equal(a["D"], b["D"])     # delta = 0 is the L^2 norm
-    c = variogram_exponent(field, norm="sup_L2", lags=lags)
+    c = variogram_exponent(field, norm="V_delta_p", p=4.0, lags=lags)
     assert np.all(c["D"] > 0.0)
     with pytest.raises(ParameterError):
         variogram_exponent(field, norm="weird", lags=lags)
@@ -252,24 +277,20 @@ def test_oracle_variogram_exponent_near_theory():
 # ---------------------------------------------------------------------------
 
 def test_predicted_bound_formulas():
-    assert predicted_bound({"alpha": 0.25, "gamma": 0.25}, "generic") \
-        == pytest.approx(0.5)
-    assert predicted_bound({"alpha": 0.25, "p": 2.0}, "pointwise") \
-        == pytest.approx(0.5)
-    assert predicted_bound({"alpha": 0.25, "m": 1}, "order2m") \
-        == pytest.approx(0.5)
-    assert predicted_bound({"alpha": 0.25, "gamma": 0.25, "delta": 0.2},
+    assert predicted_bound(HolderParameters(alpha=0.25, gamma=0.25),
+                           "generic") == pytest.approx(0.5)
+    assert predicted_bound(HolderParameters(alpha=0.25, p=2.0),
+                           "pointwise") == pytest.approx(0.5)
+    assert predicted_bound(HolderParameters(alpha=0.25, gamma=0.25, delta=0.2),
                            "generic") == pytest.approx(0.3)
     params = HolderParameters(alpha=0.25, gamma=0.25, delta=0.0, p=4.0)
     assert predicted_bound(params, "pointwise") == pytest.approx(0.625)
-    with pytest.raises(AdmissibilityError):
-        predicted_bound({"alpha": 0.25, "gamma": 0.8}, "generic")
     with pytest.raises(ParameterError):
-        predicted_bound({"alpha": 0.25}, "cubic")
+        predicted_bound(params, "cubic")
 
 
 def test_verdict_threshold_behavior():
-    params = {"alpha": 0.25, "gamma": 0.25}
+    params = HolderParameters(alpha=0.25, gamma=0.25)
     ok = regularity_verdict({"exponent": 0.46, "se": 0.010}, params, "generic")
     assert ok.verdict and ok.predicted_bound == pytest.approx(0.5)
     bad = regularity_verdict({"exponent": 0.46, "se": 0.005}, params, "generic")
@@ -279,7 +300,7 @@ def test_verdict_threshold_behavior():
 
 
 def test_pointwise_verdict_records_both_bounds():
-    params = {"alpha": 0.25, "p": 2.0, "gamma": 0.25, "delta": 0.0}
+    params = HolderParameters(alpha=0.25, p=2.0, gamma=0.25, delta=0.0)
     rep = regularity_verdict({"exponent": 0.51, "se": 0.01}, params,
                              "pointwise", oracle_exponent=0.5,
                              config={"modes": 256})
@@ -291,10 +312,17 @@ def test_pointwise_verdict_records_both_bounds():
 
 def test_report_json_roundtrip(tmp_path):
     rep = regularity_verdict({"exponent": 0.51, "se": 0.01},
-                             {"alpha": 0.25, "gamma": 0.25}, "generic",
-                             oracle_exponent=0.4875,
+                             HolderParameters(alpha=0.25, gamma=0.25),
+                             "generic", oracle_exponent=0.4875,
                              config={"modes": 96}, extras={"note": "x"})
     path = tmp_path / "report.json"
     rep.to_json(str(path))
     back = RegularityReport(**json.loads(path.read_text()))
     assert back == rep
+    # fields in declaration order, two-space indent
+    assert path.read_text() == json.dumps(
+        {"measured_exponent": 0.51, "measured_se": 0.01,
+         "predicted_bound": rep.predicted_bound, "formula": rep.formula,
+         "verdict": rep.verdict, "margin": rep.margin,
+         "oracle_exponent": 0.4875, "config": {"modes": 96},
+         "extras": {"note": "x"}}, indent=2)

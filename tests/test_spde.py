@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from volterra_spde.errors import (AlignmentError, ConfigurationError,
-                                  ParameterError, TruncationError)
+from volterra_spde.errors import (AdmissibilityError, AlignmentError,
+                                  ConfigurationError, ParameterError,
+                                  TruncationError)
 from volterra_spde.kernels import make_fbm_kernel
 from volterra_spde.processes import (LazyCylindricalEnsemble, TimeGrid,
                                      simulate_cylindrical, simulate_fbm)
@@ -24,7 +25,7 @@ from volterra_spde.spde import (HolderParameters, MildSolutionField,
                                 estimate_gamma_decay, exp_convolution_weight,
                                 factorization_constant_check,
                                 factorization_reconstruct,
-                                fractional_power_norm, gamma_radonifying_norm,
+                                gamma_radonifying_norm,
                                 mode_convolution, mode_increment_weights,
                                 per_mode_variance_oracle, solve_mild)
 from volterra_spde.wiener_integral import StepFunction, fbm_inner_product
@@ -40,8 +41,8 @@ def test_model_spectrum_and_orthonormality(model_16):
     gram = (model_16.eigenfunctions * model_16.weights[None, :]) \
         @ model_16.eigenfunctions.T
     assert np.max(np.abs(gram - np.eye(16))) < 1e-6
-    # eigenfunction_at agrees with the tabulated rows
-    assert np.allclose(model_16.eigenfunction_at(3, model_16.nodes),
+    # the tabulated rows are sqrt(2/L) sin(k pi x / L) at the nodes
+    assert np.allclose(np.sqrt(2.0 / np.pi) * np.sin(3 * model_16.nodes),
                        model_16.eigenfunctions[2])
 
 
@@ -99,6 +100,9 @@ def test_holder_parameter_constraints():
         HolderParameters(alpha=0.5)
     with pytest.raises(ParameterError):
         HolderParameters(alpha=0.25, gamma=0.75)
+    # gamma >= alpha + 1/2 leaves no admissible Holder order
+    with pytest.raises(AdmissibilityError):
+        HolderParameters(alpha=0.25, gamma=0.8)
     with pytest.raises(ParameterError):
         HolderParameters(alpha=0.25, beta=0.6, delta=0.2)
 
@@ -422,12 +426,13 @@ def _two_mode_field(model_16, a=0.7, b=-0.4):
 def test_fractional_power_norm_parseval(model_16):
     field = _two_mode_field(model_16)
     lam = model_16.eigenvalues
-    assert fractional_power_norm(field, 0.0, 2.0, 1.0)[0] == pytest.approx(
+    coeff = field.mode_paths[:, :, field.grid.index(1.0)]
+    assert model_16.fractional_norm(coeff, 0.0, 2.0)[0] == pytest.approx(
         np.sqrt(0.7 ** 2 + 0.4 ** 2), rel=1e-10)
-    assert fractional_power_norm(field, 0.5, 2.0, 1.0)[0] == pytest.approx(
+    assert model_16.fractional_norm(coeff, 0.5, 2.0)[0] == pytest.approx(
         np.sqrt(lam[0] * 0.7 ** 2 + lam[1] * 0.4 ** 2), rel=1e-10)
     with pytest.raises(ParameterError):
-        fractional_power_norm(field, -0.1, 2.0, 1.0)
+        model_16.fractional_norm(coeff, -0.1, 2.0)
 
 
 def test_fractional_power_norm_p4_against_trapezoid(model_16):
@@ -437,7 +442,8 @@ def test_fractional_power_norm_p4_against_trapezoid(model_16):
     f = np.sqrt(2.0 / np.pi) * (lam[0] ** 0.5 * 0.7 * np.sin(x)
                                 + lam[1] ** 0.5 * -0.4 * np.sin(2 * x))
     dense = np.trapezoid(np.abs(f) ** 4, x) ** 0.25
-    assert fractional_power_norm(field, 0.5, 4.0, 1.0)[0] == pytest.approx(
+    coeff = field.mode_paths[:, :, field.grid.index(1.0)]
+    assert model_16.fractional_norm(coeff, 0.5, 4.0)[0] == pytest.approx(
         dense, rel=1e-4)
 
 

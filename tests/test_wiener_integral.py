@@ -18,7 +18,6 @@ from volterra_spde.kernels import make_fbm_kernel
 from volterra_spde.wiener_integral import (StepFunction, apply_Kstar,
                                            compute_norms,
                                            elementary_integral,
-                                           embedding_bound_check,
                                            fbm_inner_product,
                                            integral_variance,
                                            random_step_function,
@@ -243,18 +242,6 @@ def test_riemann_stieltjes_variance_matches_inner_product(fbm_ens_075):
     g = StepFunction(breakpoints=edges, values=np.exp(-lam * (T - mid)))
     oracle = fbm_inner_product(g, g, 0.75)
     assert abs(mc - oracle) <= max(3.0 * se, 0.02 * oracle)
-
-
-# ---------------------------------------------------------------------------
-# embedding sweep
-# ---------------------------------------------------------------------------
-
-def test_embedding_check_reports_finite_constant(kernel_075):
-    phi = StepFunction.indicator(1.0)
-    res = embedding_bound_check(phi, kernel_075, trials=10, seed=3)
-    assert res["passed"]
-    assert np.isfinite(res["empirical_C"]) and res["empirical_C"] > 0.0
-    assert res["ratios"].size >= 1
 
 
 def test_compute_norms_bundles_all_three(kernel_075):
