@@ -636,11 +636,15 @@ def _crit_rosenblatt(seed, scale, include_diagonal: bool = False):
     m3 = float(np.mean(zT ** 3))
     se3 = float(np.std(zT ** 3) / np.sqrt(reps))
     oracle3 = third_moment_oracle(Hp, T, inner=1024, trunc=2.0e5)
-    third_ok = abs(m3 - oracle3) <= max(5.0 * se3, 0.05 * oracle3)
+    tol3 = max(5.0 * se3, 0.05 * oracle3)
+    third_ok = abs(m3 - oracle3) <= tol3
     drifts = sampler.convergence_drifts if certify else None
     cert_ok = True if not certify else all(
         abs(v) < 0.02 for v in drifts.values())
     passed = var["ok"] and cov["ok"] and third_ok and cert_ok
+    margins = {"third_margin": abs(m3 - oracle3) / tol3}
+    if certify:     # a smoke run has no certificate, so no margin either
+        margins["certificates_margin"] = max(map(abs, drifts.values())) / 0.02
     return {"criterion": 3, "name": "rosenblatt_construction",
             "passed": bool(passed),
             "details": {"replicas": reps, "second_moment": var["mc_var"],
@@ -650,7 +654,8 @@ def _crit_rosenblatt(seed, scale, include_diagonal: bool = False):
                         "covariance_margin": cov["margin"], "third_moment": m3,
                         "third_moment_oracle": oracle3, "third_ok": third_ok,
                         "include_diagonal": include_diagonal,
-                        "certificates": drifts, "certificates_ok": cert_ok}}
+                        "certificates": drifts, "certificates_ok": cert_ok,
+                        **margins}}
 
 
 def _crit_hypercontractivity(seed, scale, replicas=None):

@@ -28,9 +28,8 @@ Two families share the fBm covariance R_H(s, t):
   traces, so Monte Carlo only enters when paths are drawn.  The traces
   at one time are taken in cell space, from the Gram matrix
   G = F^T Omega F (cells x cells) of the feature matrix F (u-nodes x
-  cells); only the all-pairs covariance ``second_moment_matrix`` still
-  forms the u-node x u-node matrix S = F diag(dy) F^T, because it needs
-  prefix sums over u-nodes for every pair of output times.
+  cells); the all-pairs covariance ``second_moment_matrix`` needs
+  prefix sums over u-nodes, so it forms S = F diag(dy) F^T in row blocks.
 """
 
 from __future__ import annotations
@@ -274,17 +273,23 @@ def _rosenblatt_edges(T: float, trunc: float, inner: int,
     return np.concatenate([tail[::-1], fine])
 
 
-def _gram(F: np.ndarray, omega: np.ndarray, k: int) -> np.ndarray:
-    """G = F_k^T diag(omega_k) F_k over the first k u-nodes (cells x cells).
-
-    Accumulated over row blocks of sqrt(omega) F, so no temporary is
-    larger than a block.
-    """
-    G = np.zeros((F.shape[1], F.shape[1]))
+def _row_blocks(F: np.ndarray, k: int):
+    """(lo, F[lo:hi, :c]) over the first k u-nodes.  F[k, i] = 0 exactly
+    when cell i starts right of u-node k, and rows are sorted by u, so c,
+    one past the block's last row's last nonzero, bounds its nonzeros."""
     for lo in range(0, k, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, k)
-        W = F[lo:hi] * np.sqrt(omega[lo:hi])[:, None]
-        G += W.T @ W
+        yield lo, F[lo:hi, :np.flatnonzero(F[hi - 1])[-1] + 1]
+
+
+def _gram(blocks, omega: np.ndarray, cells: int) -> np.ndarray:
+    """G = F_k^T diag(omega_k) F_k (cells x cells) from row blocks of F;
+    each adds only its nonzero prefix, with block-sized temporaries."""
+    G = np.zeros((cells, cells))
+    for lo, blk in blocks:
+        c = blk.shape[1]
+        blk = blk * np.sqrt(omega[lo:lo + blk.shape[0]])[:, None]
+        G[:c, :c] += blk.T @ blk
     return G
 
 
@@ -297,11 +302,11 @@ class RosenblattSampler:
     the discrete quadratic form at t = T.  ``draw`` is ``core`` (the
     form) times ``linear_map`` (the recolouring, None for the identity).
 
-    The variance behind C, the doubling certificate and the third moment
-    are traces over the cell-space Gram matrix G = F^T Omega F, so they
-    need cells^2 memory.  Node space keeps F itself, the draw's F @ dW,
-    and ``second_moment_matrix`` (with ``recolor``), the one place that
-    forms the u-node x u-node matrix S = F diag(dy) F^T.
+    F is zero right of a staircase, so each pass runs over the nonzero
+    prefix of 512-row blocks.  C, the doubling certificate (whose doubled
+    models stream blocks and store no F) and the third moment are traces
+    of the Gram matrix G = F^T Omega F, in cells^2 memory.
+    ``second_moment_matrix`` forms S = F diag(dy) F^T a row block at a time.
     """
 
     def __init__(self, Hp: float, grid: TimeGrid, trunc: float | None = None,
@@ -338,7 +343,10 @@ class RosenblattSampler:
     # -- construction -------------------------------------------------------
 
     def _build(self, trunc: float, inner: int) -> None:
-        self.F, self.omega, self.dy, self.kend = self._assemble(trunc, inner)
+        self.omega, self.dy, self.kend, blocks = self._assemble(trunc, inner)
+        self.F = np.zeros((self.omega.size, self.dy.size))
+        for lo, blk in blocks:
+            self.F[lo:lo + blk.shape[0], :blk.shape[1]] = blk
         self._diag_table = self._diagonal_table()
 
     def _recolor_map(self) -> np.ndarray:
@@ -352,9 +360,10 @@ class RosenblattSampler:
         return solve_triangular(L_d.T, L_e.T, lower=False)
 
     def _assemble(self, trunc, inner):
+        """omega, dy, kend and a one-pass generator of F's row blocks."""
         T, times = self.grid.T, self.grid.points
         edges = _rosenblatt_edges(T, trunc, inner)
-        yl, yr, dy = edges[:-1], edges[1:], np.diff(edges)
+        yl, dy = edges[:-1], np.diff(edges)
         interior = edges[(edges > 0.0) & (edges < T)]
         cuts = np.unique(np.concatenate([times, interior]))
         u, omega = panels_from_edges(cuts, n_nodes=_G_NODES)
@@ -362,16 +371,16 @@ class RosenblattSampler:
         kend = [int(np.searchsorted(cuts, t, "right") - 1) * _G_NODES
                 for t in times]
         e1 = 1.0 - self.sigma
-        # cell average of (u - y)_+^{-sigma}: difference of antiderivative
-        # values at the cell edges, divided by the width; filled in row
-        # blocks so the elementwise temporaries stay block-sized
-        F = np.empty((u.size, dy.size))
-        for lo in range(0, u.size, _ROW_BLOCK):
+        ncol = np.searchsorted(yl, u, "left")    # cells left of each u-node
+
+        def block(lo):
+            # cell means of (u - y)_+^{-sigma} on yl < u, edge by edge
             ub = u[lo:lo + _ROW_BLOCK, None]
-            F[lo:lo + _ROW_BLOCK] = (np.maximum(ub - yl[None, :], 0.0) ** e1
-                                     - np.maximum(ub - yr[None, :], 0.0) ** e1
-                                     ) / (e1 * dy[None, :])
-        return F, omega, dy, kend
+            c = ncol[lo:lo + _ROW_BLOCK][-1]
+            a = np.maximum(ub - edges[None, :c + 1], 0.0) ** e1
+            return (a[:, :-1] - a[:, 1:]) / (e1 * dy[None, :c])
+        blocks = ((lo, block(lo)) for lo in range(0, u.size, _ROW_BLOCK))
+        return omega, dy, kend, blocks
 
     def _diagonal_table(self) -> np.ndarray:
         """Column j: sum_{k < kend[j]} omega_k F_k^2, per cell.
@@ -404,7 +413,12 @@ class RosenblattSampler:
         Cyclically, S2 = tr((Omega S)^2) = sum_ij dy_i dy_j G_ij^2 with
         the Gram matrix G = F^T Omega F, and b_i = G_ii.
         """
-        G = _gram(F, omega, k)
+        return RosenblattSampler._gram_variance(
+            _gram(_row_blocks(F, k), omega, dy.size), dy)
+
+    @staticmethod
+    def _gram_variance(G, dy) -> float:
+        """``_raw_variance`` from the Gram matrix G, squared in place."""
         bd = np.diagonal(G) * dy
         s2 = dy @ np.square(G, out=G) @ dy
         return 2.0 * (s2 - bd @ bd)
@@ -412,29 +426,28 @@ class RosenblattSampler:
     def second_moment_matrix(self) -> np.ndarray:
         """Model covariance C^2 E[Q_s Q_t] on the full time grid.
 
-        One S pass serves every pair: double prefix sums of
-        omega_k omega_l S_kl^2, read off at each output time's node
-        count, give the off-diagonal part for all time pairs at once.
+        One pass over S, a row block at a time, serves every pair: double
+        prefix sums of omega_k omega_l S_kl^2, read off at each output
+        time's node count, give the off-diagonal part for all time pairs
+        at once; the diagonal part comes from the draw's prefix table.
         """
         F, om, dy, kend = self.F, self.omega, self.dy, self.kend
         kidx = np.asarray(kend)
         back = np.maximum(kidx - 1, 0)
-        S = (F * dy) @ F.T
         acc = np.empty((F.shape[0], kidx.size))
-        for lo in range(0, F.shape[0], _ROW_BLOCK):
-            hi = min(lo + _ROW_BLOCK, F.shape[0])
-            blk = np.square(S[lo:hi])
-            blk *= om[None, :]
-            cs = np.cumsum(blk, axis=1, out=blk)
-            acc[lo:hi] = np.where(kidx[None, :] > 0, cs[:, back], 0.0)
-        del S, blk, cs          # the only u-node x u-node matrix, freed here
+        buf = np.empty((min(_ROW_BLOCK, F.shape[0]), F.shape[0]))
+        for lo, blk in _row_blocks(F, F.shape[0]):
+            c, srow = blk.shape[1], buf[:blk.shape[0]]
+            np.matmul(blk * dy[:c], F[:, :c].T, out=srow)   # rows of S
+            srow *= srow
+            srow *= om[None, :]
+            np.cumsum(srow, axis=1, out=srow)
+            acc[lo:lo + srow.shape[0]] = np.where(kidx[None, :] > 0,
+                                                 srow[:, back], 0.0)
         acc *= om[:, None]
         np.cumsum(acc, axis=0, out=acc)
         s2 = np.where(kidx[:, None] > 0, acc[back], 0.0)
-        bw = np.square(F)
-        bw *= om[:, None]
-        np.cumsum(bw, axis=0, out=bw)
-        bm = np.where(kidx[:, None] > 0, bw[back], 0.0) * dy[None, :]
+        bm = self._diag_table.T * dy[None, :]
         return 2.0 * (s2 - bm @ bm.T) * self.C ** 2
 
     def third_moment(self, t_index: int = -1) -> float:
@@ -451,7 +464,7 @@ class RosenblattSampler:
         if k == 0:
             return 0.0
         dy = self.dy
-        G = _gram(self.F, self.omega, k)
+        G = _gram(_row_blocks(self.F, k), self.omega, dy.size)
         b = np.diagonal(G).copy()
         h = np.sqrt(dy)
         Gh = G * h[:, None] * h[None, :]
@@ -468,9 +481,10 @@ class RosenblattSampler:
         drifts = {}
         for name, trunc, inner in (("trunc", 2.0 * self.trunc, self.inner),
                                    ("inner", self.trunc, 2 * self.inner)):
-            F, om, dy, kend = self._assemble(trunc, inner)
-            drifts[name] = self._raw_variance(F, om, dy, kend[-1]) / raw - 1.0
-            del F               # not held while the next one is assembled
+            # every u-node lies at or before T; the blocks stream into G
+            om, dy, _, blocks = self._assemble(trunc, inner)
+            G = _gram(blocks, om, dy.size)
+            drifts[name] = self._gram_variance(G, dy) / raw - 1.0
         worst = max(abs(v) for v in drifts.values())
         if worst > 0.02:
             raise TruncationError(
@@ -512,8 +526,9 @@ class RosenblattSampler:
             g = _replica_normals(seed, stream, hi - lo, dy.size, *prefix,
                                  offset=lo)
             dw = (g * sqdy).T                     # cells x replicas
-            v = F @ dw
-            contrib = (v * v) * om[:, None]
+            contrib = F @ dw
+            contrib *= contrib
+            contrib *= om[:, None]
             # cumulative over u-nodes, sampled at each output time's count
             acc = np.zeros(hi - lo)
             prev = 0

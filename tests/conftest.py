@@ -5,12 +5,29 @@ objects that are expensive to build (kernels triggering calibration,
 Cholesky factors, spectral models), so the cost is paid once.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from volterra_spde.kernels import make_fbm_kernel
 from volterra_spde.processes import TimeGrid, simulate_fbm
 from volterra_spde.spde import NoiseOperator, build_model
+
+
+@pytest.fixture(scope="session")
+def peak_bytes():
+    """``peak_bytes(fn)`` calls fn and returns (its result, the peak bytes
+    that tracemalloc saw allocated while it ran)."""
+    def measure(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return result, peak
+    return measure
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,6 @@ import os
 import pkgutil
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,20 +244,16 @@ def test_command_runs_its_check_at_config_sizes(tmp_path, command, overrides):
         assert all("margin" in row for row in rows)
 
 
-def test_solve_check_holds_one_mode_at_a_time():
+def test_solve_check_holds_one_mode_at_a_time(peak_bytes):
     # the driver and the field would each be one (replicas, modes, N + 1)
     # array if materialized; the streamed check stays far below one
     modes, replicas, n_steps = 32, 400, 256
     model = build_model(np.pi, 1, modes, 128)
     noise = NoiseOperator(kind="diagonal", phi_k=np.ones(modes))
     grid = TimeGrid.regular(1.0, n_steps)
-    tracemalloc.start()
-    try:
-        field, rows = _solve_check(model, noise, "fbm", {"H": 0.75}, grid,
-                                   replicas, 5, 64, 0.75)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (field, rows), peak = peak_bytes(
+        lambda: _solve_check(model, noise, "fbm", {"H": 0.75}, grid,
+                             replicas, 5, 64, 0.75))
     assert peak < replicas * modes * (n_steps + 1) * 8 / 4
     assert field.mode_paths.shape == (replicas, modes, 2)
     assert len(rows) == 3

@@ -8,8 +8,6 @@ form after recoloring.  Truncation behavior uses the cheap parameters
 (trunc ~ 1e2, inner 256) where the certificate outcome is known.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,11 +15,13 @@ from hypothesis import strategies as st
 
 from volterra_spde.errors import ParameterError, TruncationError
 from volterra_spde.kernels import fbm_covariance_closed_form
-from volterra_spde.processes import (CylindricalEnsemble, PathEnsemble,
+from volterra_spde.processes import (_G_NODES, _ROW_BLOCK,
+                                     CylindricalEnsemble, PathEnsemble,
                                      RosenblattSampler, TimeGrid,
-                                     _replica_normals, simulate_cylindrical,
-                                     simulate_fbm, simulate_rosenblatt,
-                                     third_moment_oracle)
+                                     _replica_normals, _rosenblatt_edges,
+                                     simulate_cylindrical, simulate_fbm,
+                                     simulate_rosenblatt, third_moment_oracle)
+from volterra_spde.quadrature import panels_from_edges
 from volterra_spde.seeding import STREAM_ROSENBLATT
 
 
@@ -281,18 +281,106 @@ def test_cell_space_traces_and_draw_match_node_space(Hp, inner, trunc, n_steps,
                                            include_diagonal=True))
 
 
-def test_certified_build_holds_no_node_by_node_matrix():
+def test_certified_build_holds_no_node_by_node_matrix(peak_bytes):
     # the doubled-inner assembly is the largest the certificate makes; its
     # u-node x u-node matrix is what a node-space trace would allocate
     grid = TimeGrid.regular(1.0, 256)
-    tracemalloc.start()
-    try:
-        s = RosenblattSampler(0.75, grid, trunc=2.0e5, inner=256, check=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    s, peak = peak_bytes(lambda: RosenblattSampler(0.75, grid, trunc=2.0e5,
+                                                   inner=256, check=True))
     nodes = s._assemble(s.trunc, 2 * s.inner)[0].shape[0]
     assert peak < nodes * nodes * 8
+
+
+def _node_space_second_moments(s):
+    """C^2 E[Q_s Q_t] for every pair of output times, from the full S."""
+    F, om, dy = s.F, s.omega, s.dy
+    S = (F * dy) @ F.T
+    P = np.zeros((F.shape[0] + 1, F.shape[0] + 1))
+    P[1:, 1:] = np.cumsum(np.cumsum(om[:, None] * S * S * om[None, :], 0), 1)
+    b = np.array([om[:k] @ (F[:k] * F[:k]) for k in s.kend]) * dy
+    return 2.0 * s.C ** 2 * (P[np.ix_(s.kend, s.kend)] - b @ b.T)
+
+
+def _two_power_features(s, trunc, inner):
+    """The dense feature matrix, both antiderivative powers on every cell,
+    with the u-node weights and cell widths it goes with."""
+    edges = _rosenblatt_edges(s.grid.T, trunc, inner)
+    yl, yr = edges[:-1], edges[1:]
+    interior = edges[(edges > 0.0) & (edges < s.grid.T)]
+    u, om = panels_from_edges(np.unique(np.concatenate([s.grid.points,
+                                                        interior])),
+                              n_nodes=_G_NODES)
+    e1, ub = 1.0 - s.sigma, u[:, None]
+    F = (np.maximum(ub - yl, 0.0) ** e1
+         - np.maximum(ub - yr, 0.0) ** e1) / (e1 * (yr - yl))
+    return F, om, yr - yl, np.searchsorted(yl, u, "left")
+
+
+@pytest.fixture(scope="module")
+def staircase_sampler():
+    # three row blocks of F, 31 % of it right of the staircase
+    grid = TimeGrid.regular(1.0, 16)
+    return RosenblattSampler(0.75, grid, trunc=2.0e3, inner=512, check=False)
+
+
+def test_staircase_feature_matrix_is_the_dense_formula(staircase_sampler):
+    s = staircase_sampler
+    F, _, _, ncol = _two_power_features(s, s.trunc, s.inner)
+    assert s.F.shape == (1408, 553)
+    assert -(-s.F.shape[0] // _ROW_BLOCK) == 3
+    assert s.F.tobytes() == F.tobytes()
+    right = np.arange(F.shape[1])[None, :] >= ncol[:, None]
+    assert np.all(s.F[right] == 0.0) and np.all(s.F[~right] != 0.0)
+    assert 0.3 < right.mean() < 0.32
+
+
+def test_staircase_traces_match_node_space(staircase_sampler):
+    s = staircase_sampler
+    for j, k in enumerate(s.kend[1:], start=1):
+        raw = RosenblattSampler._raw_variance(s.F, s.omega, s.dy, k)
+        assert raw == pytest.approx(
+            _node_space_raw_variance(s.F, s.omega, s.dy, k), rel=1e-12)
+        assert s.third_moment(j) == pytest.approx(
+            _node_space_third_moment(s, k), rel=1e-12)
+    np.testing.assert_allclose(s.second_moment_matrix(),
+                               _node_space_second_moments(s), rtol=1e-12,
+                               atol=0.0)
+
+
+def test_streamed_certificate_matches_stored_features(staircase_sampler):
+    # the doubled models stream their row blocks into the Gram matrix;
+    # storing the dense matrix first must give the same drifts bit for bit
+    s = staircase_sampler
+    stored = {}
+    for name, trunc, inner in (("trunc", 2.0 * s.trunc, s.inner),
+                               ("inner", s.trunc, 2 * s.inner)):
+        F, om, dy, _ = _two_power_features(s, trunc, inner)
+        stored[name] = (RosenblattSampler._raw_variance(F, om, dy, om.size)
+                        / s._raw_var_T - 1.0)
+    # trunc 2e3 leaves the truncation drift just above the 2 % budget
+    worst = max(abs(v) for v in stored.values())
+    assert worst > 0.02
+    with pytest.raises(TruncationError) as exc:
+        s._convergence_check(s._raw_var_T)
+    assert exc.value.drift == worst
+
+
+def test_second_moment_matrix_holds_no_node_by_node_matrix(staircase_sampler,
+                                                           peak_bytes):
+    s = staircase_sampler
+    _, peak = peak_bytes(s.second_moment_matrix)
+    assert peak < s.F.shape[0] ** 2 * 8
+
+
+def test_certificate_never_stores_a_doubled_feature_matrix(peak_bytes):
+    # many output times make many u-nodes, so the doubled-inner F spans
+    # eight row blocks while the Gram matrix stays cells x cells
+    grid = TimeGrid.regular(1.0, 1024)
+    s = RosenblattSampler(0.75, grid, trunc=2.0e5, inner=256, check=False)
+    om, dy, _, _ = s._assemble(s.trunc, 2 * s.inner)
+    drifts, peak = peak_bytes(lambda: s._convergence_check(s._raw_var_T))
+    assert max(abs(v) for v in drifts.values()) < 0.02
+    assert peak < om.size * dy.size * 8
 
 
 def test_default_truncation_fails_certificate():
