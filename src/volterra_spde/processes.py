@@ -30,6 +30,8 @@ Two families share the fBm covariance R_H(s, t):
   G = F^T Omega F (cells x cells) of the feature matrix F (u-nodes x
   cells); the all-pairs covariance ``second_moment_matrix`` needs
   prefix sums over u-nodes, so it forms S = F diag(dy) F^T in row blocks.
+  Draws run in fixed replica tiles: their bits and temporaries do not
+  depend on the replica count.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ __all__ = [
     "simulate_cylindrical",
 ]
 
-_REPLICA_BLOCK = 2000  # cap on transient (n_nodes x replicas) arrays
+_REPLICA_TILE = 256    # rows of the draw's (replicas x u-nodes) tiles
 _ROW_BLOCK = 512       # cap on transient (u-node rows x cells) arrays
 _G_NODES = 4           # Gauss nodes per u-panel of the Rosenblatt quadrature
 
@@ -273,23 +275,30 @@ def _rosenblatt_edges(T: float, trunc: float, inner: int,
     return np.concatenate([tail[::-1], fine])
 
 
-def _row_blocks(F: np.ndarray, k: int):
+def _row_blocks(F: np.ndarray, k: int, rows: int = _ROW_BLOCK):
     """(lo, F[lo:hi, :c]) over the first k u-nodes.  F[k, i] = 0 exactly
     when cell i starts right of u-node k, and rows are sorted by u, so c,
     one past the block's last row's last nonzero, bounds its nonzeros."""
-    for lo in range(0, k, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, k)
+    for lo in range(0, k, rows):
+        hi = min(lo + rows, k)
         yield lo, F[lo:hi, :np.flatnonzero(F[hi - 1])[-1] + 1]
 
 
 def _gram(blocks, omega: np.ndarray, cells: int) -> np.ndarray:
-    """G = F_k^T diag(omega_k) F_k (cells x cells) from row blocks of F;
-    each adds only its nonzero prefix, with block-sized temporaries."""
-    G = np.zeros((cells, cells))
+    """G = F_k^T diag(omega_k) F_k (cells x cells) from row blocks of F.
+    Block prefixes only grow; the distinct ones cut the columns into
+    panels, each block adds its prefix panel by panel to G's upper
+    triangle and the lower one is mirrored at the end, so no temporary
+    is larger than cells x one panel."""
+    G, edges = np.zeros((cells, cells)), [0]
     for lo, blk in blocks:
-        c = blk.shape[1]
+        if blk.shape[1] > edges[-1]:
+            edges.append(blk.shape[1])
         blk = blk * np.sqrt(omega[lo:lo + blk.shape[0]])[:, None]
-        G[:c, :c] += blk.T @ blk
+        for s, e in zip(edges, edges[1:]):
+            G[:e, s:e] += blk[:, :e].T @ blk[:, s:e]
+    for s, e in zip(edges, edges[1:]):
+        G[s:e, :s] = G[:s, s:e].T
     return G
 
 
@@ -302,11 +311,12 @@ class RosenblattSampler:
     the discrete quadratic form at t = T.  ``draw`` is ``core`` (the
     form) times ``linear_map`` (the recolouring, None for the identity).
 
-    F is zero right of a staircase, so each pass runs over the nonzero
-    prefix of 512-row blocks.  C, the doubling certificate (whose doubled
-    models stream blocks and store no F) and the third moment are traces
-    of the Gram matrix G = F^T Omega F, in cells^2 memory.
-    ``second_moment_matrix`` forms S = F diag(dy) F^T a row block at a time.
+    F is zero right of a staircase, so each pass, the draw's included,
+    runs over the nonzero prefix of its row blocks.  C, the doubling
+    certificate (whose doubled models stream blocks and store no F) and
+    the third moment are traces of the Gram matrix G = F^T Omega F, in
+    cells^2 memory.  ``second_moment_matrix`` forms S = F diag(dy) F^T a
+    row block at a time, and the draw holds one 256-replica tile.
     """
 
     def __init__(self, Hp: float, grid: TimeGrid, trunc: float | None = None,
@@ -377,8 +387,10 @@ class RosenblattSampler:
             # cell means of (u - y)_+^{-sigma} on yl < u, edge by edge
             ub = u[lo:lo + _ROW_BLOCK, None]
             c = ncol[lo:lo + _ROW_BLOCK][-1]
-            a = np.maximum(ub - edges[None, :c + 1], 0.0) ** e1
-            return (a[:, :-1] - a[:, 1:]) / (e1 * dy[None, :c])
+            a = ub - edges[None, :c + 1]
+            a = np.maximum(a, 0.0, out=a) ** e1
+            return np.divide(a[:, :-1] - a[:, 1:], e1 * dy[None, :c],
+                             out=a[:, :-1])
         blocks = ((lo, block(lo)) for lo in range(0, u.size, _ROW_BLOCK))
         return omega, dy, kend, blocks
 
@@ -426,29 +438,33 @@ class RosenblattSampler:
     def second_moment_matrix(self) -> np.ndarray:
         """Model covariance C^2 E[Q_s Q_t] on the full time grid.
 
-        One pass over S, a row block at a time, serves every pair: double
-        prefix sums of omega_k omega_l S_kl^2, read off at each output
-        time's node count, give the off-diagonal part for all time pairs
-        at once; the diagonal part comes from the draw's prefix table.
+        One pass over S, a quarter row block at a time, serves every pair:
+        the block's rows of omega_k omega_l S_kl^2, prefix-summed along l at
+        each output time's node count, extend a running sum over k, and the
+        times whose node count ends in the block read their rows off it,
+        less the diagonal part from the draw's prefix table.
         """
-        F, om, dy, kend = self.F, self.omega, self.dy, self.kend
-        kidx = np.asarray(kend)
-        back = np.maximum(kidx - 1, 0)
-        acc = np.empty((F.shape[0], kidx.size))
-        buf = np.empty((min(_ROW_BLOCK, F.shape[0]), F.shape[0]))
-        for lo, blk in _row_blocks(F, F.shape[0]):
+        F, om, dy, table = self.F, self.omega, self.dy, self._diag_table
+        kend = np.asarray(self.kend)
+        s2, run = np.zeros((kend.size, kend.size)), np.zeros(kend.size)
+        buf = np.empty((min(_ROW_BLOCK // 4, F.shape[0]), F.shape[0]))
+        for lo, blk in _row_blocks(F, F.shape[0], _ROW_BLOCK // 4):
             c, srow = blk.shape[1], buf[:blk.shape[0]]
             np.matmul(blk * dy[:c], F[:, :c].T, out=srow)   # rows of S
             srow *= srow
-            srow *= om[None, :]
+            srow *= om
             np.cumsum(srow, axis=1, out=srow)
-            acc[lo:lo + srow.shape[0]] = np.where(kidx[None, :] > 0,
-                                                 srow[:, back], 0.0)
-        acc *= om[:, None]
-        np.cumsum(acc, axis=0, out=acc)
-        s2 = np.where(kidx[:, None] > 0, acc[back], 0.0)
-        bm = self._diag_table.T * dy[None, :]
-        return 2.0 * (s2 - bm @ bm.T) * self.C ** 2
+            part = srow[:, kend - 1]
+            part[:, 0] = 0.0                                # kend[0] == 0
+            part *= om[lo:lo + part.shape[0], None]
+            part[0] += run
+            np.cumsum(part, axis=0, out=part)
+            run = part[-1]
+            ends = (kend > lo) & (kend <= lo + part.shape[0])
+            s2[ends] = (part[kend[ends] - 1 - lo]
+                        - (table[:, ends].T * dy * dy) @ table)
+        s2 *= 2.0 * self.C ** 2
+        return s2
 
     def third_moment(self, t_index: int = -1) -> float:
         """Exact E Z_t^3 of the discrete model, 8 C^3 tr((B D)^3) expanded.
@@ -502,45 +518,53 @@ class RosenblattSampler:
 
         The double integral excludes the diagonal; leaving it in is a
         deliberate fault injection for calibration checks, never a
-        production option.  Same (seed, replicas) reproduces bit for bit;
-        the matrix products may round differently for another replica
-        count, so a prefix of a longer draw agrees to rounding.
+        production option.  Replicas go through fixed tiles of
+        ``_REPLICA_TILE`` rows, so every matrix product has a shape set by
+        the sampler alone: a prefix of a longer draw is the shorter draw
+        bit for bit, and the temporaries are one tile's, whatever
+        ``replicas`` is.
         """
-        core = self.core(replicas, seed, stream, *prefix,
-                         include_diagonal=include_diagonal)
-        out = np.empty((replicas, self.grid.points.size))
-        out[:, 0] = 0.0
-        out[:, 1:] = core if self.linear_map is None else core @ self.linear_map
-        return out
+        return self._tiles(replicas, seed, stream, prefix, include_diagonal,
+                           self.linear_map)
 
     def core(self, replicas: int, seed: int, stream: int = STREAM_ROSENBLATT,
              *prefix, include_diagonal: bool = False) -> np.ndarray:
-        """(replicas, N) calibrated quadratic form at t_1..t_N (0 at t_0)."""
+        """(replicas, N) calibrated quadratic form at t_1..t_N, before
+        ``linear_map``; tiled like ``draw``, so equally a bitwise prefix."""
+        return self._tiles(replicas, seed, stream, prefix, include_diagonal,
+                           None)[:, 1:]
+
+    def _tiles(self, replicas, seed, stream, prefix, include_diagonal,
+               linear_map) -> np.ndarray:
+        """(replicas, N + 1) paths, one fixed-width replica tile at a time:
+        F @ dW over each row block's nonzero prefix as (tile x u-nodes),
+        squared, weighted and summed per step, less the diagonal terms,
+        times ``linear_map``.  Padding rows never reach the output."""
         if replicas < 1:
             raise ParameterError(f"replicas must be >= 1, got {replicas}")
         F, om, dy, kend = self.F, self.omega, self.dy, self.kend
-        sqdy = np.sqrt(dy)
-        out = np.empty((replicas, len(kend)))
-        for lo in range(0, replicas, _REPLICA_BLOCK):
-            hi = min(lo + _REPLICA_BLOCK, replicas)
-            g = _replica_normals(seed, stream, hi - lo, dy.size, *prefix,
-                                 offset=lo)
-            dw = (g * sqdy).T                     # cells x replicas
-            contrib = F @ dw
-            contrib *= contrib
-            contrib *= om[:, None]
-            # cumulative over u-nodes, sampled at each output time's count
-            acc = np.zeros(hi - lo)
-            prev = 0
-            for j, k in enumerate(kend):
-                if k > prev:
-                    acc = acc + contrib[prev:k].sum(axis=0)
-                    prev = k
-                out[lo:hi, j] = acc
+        sqdy, blocks = np.sqrt(dy), list(_row_blocks(F, F.shape[0]))
+        out = np.zeros((replicas, len(kend)))
+        dw = np.zeros((_REPLICA_TILE, dy.size))
+        v = np.empty((_REPLICA_TILE, F.shape[0]))
+        for lo in range(0, replicas, _REPLICA_TILE):
+            n = min(_REPLICA_TILE, replicas - lo)
+            dw[:n] = _replica_normals(seed, stream, n, dy.size, *prefix,
+                                      offset=lo)
+            dw[:n] *= sqdy
+            for k0, blk in blocks:
+                np.matmul(dw[:, :blk.shape[1]], blk.T,
+                          out=v[:, k0:k0 + blk.shape[0]])
+            v *= v
+            v *= om
+            # every u-node lies before kend[-1], where the last sum ends
+            q = np.cumsum(np.add.reduceat(v, kend[:-1], axis=1), axis=1)
             if not include_diagonal:
-                out[lo:hi] -= np.square(dw.T) @ self._diag_table
-            out[lo:hi] *= self.C
-        return out[:, 1:]
+                q -= np.square(dw) @ self._diag_table[:, 1:]
+            q *= self.C
+            out[lo:lo + n, 1:] = (q if linear_map is None
+                                  else q @ linear_map)[:n]
+        return out
 
 
 def simulate_rosenblatt(Hp: float, grid: TimeGrid, trunc: float | None = None,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from volterra_spde.kernels import make_fbm_kernel
-from volterra_spde.processes import TimeGrid, simulate_fbm
+from volterra_spde.processes import RosenblattSampler, TimeGrid, simulate_fbm
 from volterra_spde.spde import NoiseOperator, build_model
 
 
@@ -28,6 +28,15 @@ def peak_bytes():
             tracemalloc.stop()
         return result, peak
     return measure
+
+
+@pytest.fixture(scope="session")
+def tile_samplers():
+    """Cheap recoloured Rosenblatt samplers (H' 0.75, inner 256, trunc
+    2e3, uncertified) with 5, 65 and 513 output times, keyed by steps."""
+    return {n: RosenblattSampler(0.75, TimeGrid.regular(1.0, n), trunc=2.0e3,
+                                 inner=256, check=False, recolor=True)
+            for n in (4, 64, 512)}
 
 
 @pytest.fixture(scope="session")

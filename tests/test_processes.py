@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from volterra_spde.errors import ParameterError, TruncationError
 from volterra_spde.kernels import fbm_covariance_closed_form
-from volterra_spde.processes import (_G_NODES, _ROW_BLOCK,
+from volterra_spde.processes import (_G_NODES, _REPLICA_TILE, _ROW_BLOCK,
                                      CylindricalEnsemble, PathEnsemble,
                                      RosenblattSampler, TimeGrid,
                                      _replica_normals, _rosenblatt_edges,
@@ -276,9 +276,10 @@ def test_cell_space_traces_and_draw_match_node_space(Hp, inner, trunc, n_steps,
     # tolerance is relative to the largest entry, not to each one
     np.testing.assert_allclose(z, ref, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(ref)))
-    assert np.array_equal(s.draw(replicas, seed, include_diagonal=True),
-                          _node_space_draw(s, replicas, seed,
-                                           include_diagonal=True))
+    ref = _node_space_draw(s, replicas, seed, include_diagonal=True)
+    np.testing.assert_allclose(s.draw(replicas, seed, include_diagonal=True),
+                               ref, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(ref)))
 
 
 def test_certified_build_holds_no_node_by_node_matrix(peak_bytes):
@@ -381,6 +382,64 @@ def test_certificate_never_stores_a_doubled_feature_matrix(peak_bytes):
     drifts, peak = peak_bytes(lambda: s._convergence_check(s._raw_var_T))
     assert max(abs(v) for v in drifts.values()) < 0.02
     assert peak < om.size * dy.size * 8
+
+
+@pytest.fixture(scope="module")
+def sampler_1024():
+    # many output times make many u-nodes: the doubled-inner F spans eight
+    # row blocks while its Gram matrix stays cells x cells
+    return RosenblattSampler(0.75, TimeGrid.regular(1.0, 1024), trunc=2.0e5,
+                             inner=256, check=False)
+
+
+def test_certificate_holds_one_gram_matrix(sampler_1024, peak_bytes):
+    # each Gram pass adds its blocks panel by panel into G itself and the
+    # assembly works in place, so the certificate peaks below one cells^2
+    # matrix of the doubled-inner model plus four of its row blocks
+    s = sampler_1024
+    dy = s._assemble(s.trunc, 2 * s.inner)[1]
+    _, peak = peak_bytes(lambda: s._convergence_check(s._raw_var_T))
+    assert peak < (dy.size + 4 * _ROW_BLOCK) * dy.size * 8
+
+
+def test_second_moment_matrix_holds_no_node_by_time_matrix(sampler_1024,
+                                                           peak_bytes):
+    # the double prefix sums carry from one row block to the next, so no
+    # (u-nodes x output times) accumulator exists
+    s = sampler_1024
+    _, peak = peak_bytes(s.second_moment_matrix)
+    assert peak < s.F.shape[0] * len(s.kend) * 8 / 2
+
+
+PREFIX_REPLICAS = (1, 2, 3, 4, 8, 16, 50, 100, 255, 256, 257, 500, 1000)
+
+
+@pytest.mark.parametrize("steps", (4, 64, 512))
+def test_rosenblatt_draw_is_a_bitwise_prefix(tile_samplers, steps):
+    # every replica tile has the same matrix shapes, so a shorter draw is
+    # the head of a longer one bit for bit, recoloured or not
+    s = tile_samplers[steps]
+    draw, core = s.draw(2000, seed=11), s.core(2000, seed=11)
+    for r in PREFIX_REPLICAS:
+        assert np.array_equal(s.draw(r, seed=11), draw[:r])
+        assert np.array_equal(s.core(r, seed=11), core[:r])
+    if steps == 64:
+        diag = s.draw(2000, 11, include_diagonal=True)
+        for r in (1, 255, 257):
+            assert np.array_equal(s.draw(r, 11, include_diagonal=True),
+                                  diag[:r])
+
+
+def test_rosenblatt_draw_holds_one_tile(tile_samplers, peak_bytes):
+    # beyond its output the draw holds one tile's temporaries, so the peak
+    # above the output does not grow with the replica count
+    s = tile_samplers[64]
+    above = []
+    for replicas in (512, 2048, 8192):
+        z, peak = peak_bytes(lambda: s.draw(replicas, seed=3))
+        above.append(peak - z.nbytes)
+    assert max(above) <= 1.01 * min(above)
+    assert max(above) < 3 * s.F.shape[0] * _REPLICA_TILE * 8
 
 
 def test_default_truncation_fails_certificate():
