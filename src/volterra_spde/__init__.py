@@ -33,7 +33,6 @@ from .processes import (
     TimeGrid,
     PathEnsemble,
     CylindricalEnsemble,
-    LazyCylindricalEnsemble,
     FbmSampler,
     simulate_fbm,
     RosenblattSampler,
@@ -64,7 +63,7 @@ from .spde import (
     solve_mild,
     per_mode_variance_oracle,
     factorization_constant_check,
-    factorization_reconstruct,
+    factorization_weights,
     elementary_operator_check,
 )
 from .regularity import (
@@ -88,17 +87,16 @@ __all__ = [
     "fbm_covariance_closed_form", "check_alpha_regularity",
     "hermite", "ChaosVariableSpec", "sample_linear_combination",
     "moment_ratio", "moment_ratio_stderr", "hypercontractivity_sweep",
-    "TimeGrid", "PathEnsemble", "CylindricalEnsemble",
-    "LazyCylindricalEnsemble", "FbmSampler", "simulate_fbm",
-    "RosenblattSampler", "simulate_rosenblatt", "third_moment_oracle",
-    "make_sampler", "simulate_cylindrical",
+    "TimeGrid", "PathEnsemble", "CylindricalEnsemble", "FbmSampler",
+    "simulate_fbm", "RosenblattSampler", "simulate_rosenblatt",
+    "third_moment_oracle", "make_sampler", "simulate_cylindrical",
     "StepFunction", "IntegrandNorms", "apply_Kstar", "integral_variance",
     "fbm_inner_product", "compute_norms", "elementary_integral",
     "riemann_stieltjes", "random_step_function",
     "SpectralModel", "build_model", "NoiseOperator", "HolderParameters",
     "gamma_radonifying_norm", "estimate_gamma_decay",
     "MildSolutionField", "solve_mild", "per_mode_variance_oracle",
-    "factorization_constant_check", "factorization_reconstruct",
+    "factorization_constant_check", "factorization_weights",
     "elementary_operator_check",
     "RegularityReport", "variogram_exponent", "field_variogram",
     "mean_square_increment_oracle", "oracle_variogram_exponent",

@@ -184,6 +184,9 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
       slack, i.e. sup_{m'} <= 1.05 sup_m for every m < m'.
     * ``trend_pass``: the OLS slope of per-trial ratios against log2(m)
       is not significantly positive at the 95% level.
+
+    ``margin`` is the larger of max_k sup_{k+1} / (1.05 min sup_{<=k})
+    and slope / (1.96 SE); both pass at <= 1.
     """
     if trials < 30:
         raise ParameterError(f"trials must be >= 30, got {trials}")
@@ -205,6 +208,8 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
         all_ratios[m] = ratios
     sups = [sup_ratio[m] for m in dims]
     monotone = all(sups[k + 1] <= 1.05 * min(sups[: k + 1]) for k in range(len(dims) - 1))
+    growth = max(sups[k + 1] / (1.05 * min(sups[: k + 1]))
+                 for k in range(len(dims) - 1))
     x = np.concatenate([np.full(trials, np.log2(m)) for m in dims])
     y = np.concatenate([all_ratios[m] for m in dims])
     slope, slope_se, _ = ols_fit(x, y)
@@ -216,4 +221,5 @@ def hypercontractivity_sweep(n: int, p: float, q: float, dims,
         "trend_slope": slope,
         "trend_se": slope_se,
         "trend_pass": bool(slope <= 1.96 * slope_se),
+        "margin": max(growth, slope / (1.96 * slope_se)),
     }

@@ -52,7 +52,6 @@ __all__ = [
     "TimeGrid",
     "PathEnsemble",
     "CylindricalEnsemble",
-    "LazyCylindricalEnsemble",
     "FbmSampler",
     "RosenblattSampler",
     "simulate_fbm",
@@ -151,26 +150,6 @@ class PathEnsemble:
             for r, row in enumerate(self.values.tolist()):
                 fh.write("".join([f"{r}{m}{v}\n"
                                   for m, v in zip(mids, map(fmt, row))]))
-
-
-@dataclass(frozen=True)
-class CylindricalEnsemble:
-    """Independent scalar coordinate ensembles, one per basis vector."""
-
-    modes: int
-    coordinates: list
-
-    def __post_init__(self):
-        if self.modes != len(self.coordinates):
-            raise ParameterError(
-                f"modes={self.modes} but {len(self.coordinates)} coordinate ensembles")
-
-    @property
-    def grid(self) -> TimeGrid:
-        return self.coordinates[0].grid
-
-    def coordinate(self, n: int) -> PathEnsemble:
-        return self.coordinates[n]
 
 
 def _replica_normals(seed: int, stream: int, replicas: int, n: int,
@@ -624,14 +603,15 @@ def make_sampler(family: str, params: dict, grid: TimeGrid):
     raise ParameterError(f"unknown process family {family!r}")
 
 
-class LazyCylindricalEnsemble:
-    """A cylindrical ensemble whose coordinates are drawn on demand.
+class CylindricalEnsemble:
+    """Independent scalar ensembles of one family, one per basis vector.
 
     ``coordinate(n)`` draws coordinate n from the substream family
     (seed, cylindrical, family stream, n) on every call and keeps nothing,
-    so a caller that reduces one mode at a time holds one mode's paths.
-    Expensive shared state (Cholesky factor, feature matrix) is built
-    once, on construction.
+    so modes are independent and individually reproducible, and a caller
+    that reduces one mode at a time holds one mode's paths.  Expensive
+    shared state (Cholesky factor, feature matrix) is built once, on
+    construction.
     """
 
     def __init__(self, family: str, params: dict, modes: int, grid: TimeGrid,
@@ -659,12 +639,6 @@ class LazyCylindricalEnsemble:
 
 def simulate_cylindrical(family: str, params: dict, modes: int, grid: TimeGrid,
                          replicas: int, seed: int) -> CylindricalEnsemble:
-    """``modes`` independent scalar ensembles of one family.
-
-    Coordinate n draws from the substream family (seed, cylindrical, n),
-    so modes are independent and individually reproducible; each is
-    :meth:`LazyCylindricalEnsemble.coordinate`, drawn once and kept.
-    """
-    lazy = LazyCylindricalEnsemble(family, params, modes, grid, replicas, seed)
-    return CylindricalEnsemble(modes=modes,
-                               coordinates=[lazy.coordinate(n) for n in range(modes)])
+    """``modes`` independent scalar ensembles of one family, drawn on demand
+    by :meth:`CylindricalEnsemble.coordinate`."""
+    return CylindricalEnsemble(family, params, modes, grid, replicas, seed)

@@ -36,10 +36,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ParameterError, TruncationError
-from .processes import LazyCylindricalEnsemble, PathEnsemble, TimeGrid
+from .processes import CylindricalEnsemble, PathEnsemble, TimeGrid
 from .quadrature import ols_fit
 from .spde import (HolderParameters, MildSolutionField, NoiseOperator,
-                   SpectralModel, _doubled_problem, _folded_modes)
+                   SpectralModel, _doubled_problem, _folded_modes,
+                   mode_increment_weights)
 from .wiener_integral import uniform_fbm_quadratic_form
 
 __all__ = [
@@ -142,21 +143,14 @@ def variogram_exponent(data, norm: str = "scalar", lags: list[int] | None = None
     modes) and "V_delta_p" for the fractional-power norm with the given
     (delta, p).  Requires >= 4 lags and >= 1000 replicas.
     """
-    if isinstance(data, PathEnsemble):
-        if norm != "scalar":
-            raise ParameterError(f"norm {norm!r} needs a solution field")
-        values = data.values
-        n_steps = data.grid.n_steps
-        times = data.grid.points
-    elif isinstance(data, MildSolutionField):
-        n_steps = data.grid.n_steps
-        times = data.grid.points
-    else:
+    if not isinstance(data, (PathEnsemble, MildSolutionField)):
         raise ParameterError(f"unsupported data type {type(data).__name__}")
-    lags, bases = _lag_set(n_steps, lags, bases)
-    n_rep = data.values.shape[0] if isinstance(data, PathEnsemble) else data.replicas
-    if n_rep < 1000:
-        raise ParameterError(f"need >= 1000 replicas, got {n_rep}")
+    if isinstance(data, PathEnsemble) and norm != "scalar":
+        raise ParameterError(f"norm {norm!r} needs a solution field")
+    times = data.grid.points
+    lags, bases = _lag_set(data.grid.n_steps, lags, bases)
+    if data.replicas < 1000:
+        raise ParameterError(f"need >= 1000 replicas, got {data.replicas}")
 
     h = np.array([times[lag] for lag in lags])
     Q_by_lag = []
@@ -164,7 +158,7 @@ def variogram_exponent(data, norm: str = "scalar", lags: list[int] | None = None
         per_base = []
         for b in bases:
             if isinstance(data, PathEnsemble):
-                inc = values[:, b + lag] - values[:, b]
+                inc = data.values[:, b + lag] - data.values[:, b]
                 per_base.append(inc * inc)
             else:
                 dc = data.mode_paths[:, :, b + lag] - data.mode_paths[:, :, b]
@@ -194,24 +188,25 @@ def field_variogram(model: SpectralModel, noise: NoiseOperator, family: str,
     No path is formed: with the driver's draw ``core @ linear_map``, mode
     k's increments are c_k core_k @ (linear_map @ V_k), V_k from
     :func:`~volterra_spde.spde.mode_increment_weights`, computed by the
-    block loop ``solve_mild`` uses for its kept times.  The cores match
-    ``simulate_cylindrical`` substream for substream, so ``solve_mild`` +
-    :func:`variogram_exponent` on the same seed agree to rounding.
+    fold ``solve_mild`` uses for its kept times.  The driver is the
+    :class:`~volterra_spde.processes.CylindricalEnsemble` that
+    ``simulate_cylindrical`` returns on the same arguments (one coordinate
+    for pointwise noise), so ``solve_mild`` + :func:`variogram_exponent`
+    on the same seed agree to rounding.
     Only p = 2 norms are mode-separable; ``deltas`` lists the V_{delta,2}
     weights to accumulate in the same pass (delta = 0 is the L^2 norm).
     """
     lags, bases = _lag_set(grid.n_steps, lags, bases)
     if replicas < 1000:
         raise ParameterError(f"need >= 1000 replicas, got {replicas}")
-    driver = LazyCylindricalEnsemble(family, params, noise.driver_modes(model),
-                                     grid, replicas, seed)
+    driver = CylindricalEnsemble(family, params, noise.driver_modes(model),
+                                 grid, replicas, seed)
     lam = model.eigenvalues
     pairs = [(b, lag) for lag in lags for b in bases]
     pw = 2.0 * np.asarray(deltas, dtype=float)[:, None, None]
     acc = np.zeros((len(deltas), replicas, len(pairs)))
-    for k, d in _folded_modes(model, noise, driver.core,
-                              driver.sampler.linear_map, grid, pairs,
-                              replicas, refinement):
+    for k, d in _folded_modes(model, noise, driver, lambda k: (
+            mode_increment_weights(lam[k], grid, pairs, refinement))):
         acc += lam[k] ** pw * np.square(d)
     h = np.array([grid.points[lag] for lag in lags])
     Q = acc.reshape(len(deltas), replicas, len(lags), len(bases)).mean(axis=3)
@@ -246,13 +241,17 @@ def mean_square_increment_oracle(model: SpectralModel, noise: NoiseOperator,
                                  H: float, s: float, t: float,
                                  delta: float = 0.0, n_cells: int = 4096,
                                  check: bool = False) -> float:
-    """Exact E||X_t - X_s||^2 of the continuum mild solution.
+    """E||X_t - X_s||^2 of the mild solution truncated at ``model.modes``.
 
     Sums per-mode increment variances with weights lambda_k^{2 delta}
-    c_k^2.  With ``check`` on, the sum is recomputed with doubled modes
-    (diagonal coefficients extended by their last value, treating the
-    given array as the truncation of a sequence) and a drift above 1%
-    raises.
+    c_k^2.  Each is exact for its integrand discretized in time as a
+    midpoint step function on cells of width dx <= t / ``n_cells``
+    (:func:`_mode_increment_var`), so this is not the continuum value:
+    the modes past the truncation are missing, and the time step leaves
+    an O((lambda_k dx)^2) bias in mode k.  With ``check`` on, the sum is
+    recomputed with doubled modes (diagonal coefficients extended by
+    their last value, treating the given array as the truncation of a
+    sequence) and a drift above 1% raises.
     """
     if not s <= t:
         raise ParameterError(f"need s <= t, got {s} > {t}")
@@ -318,6 +317,8 @@ def regularity_verdict(measured: dict, params: HolderParameters, case: str,
     exponent at or above 1 marks the saturated (smooth) case, which
     passes regardless of the bound.  The report's ``margin`` is
     (bound - 0.02 - measured) / (2 SE), 0 when saturated; <= 1 passes.
+    It is negative when the measurement already exceeds bound - 0.02,
+    and the more so the further it does.
     """
     bound = predicted_bound(params, case)
     extras = dict(extras or {})

@@ -26,11 +26,13 @@ X at kept times is the increment from X(0) = 0.  For a driver drawn as
 ``core @ linear_map`` these are c_k core @ (linear_map @ V), so
 ``solve_mild(times=...)`` and the streaming variogram form no path.
 
-The factorization route computes Y^delta_u by the same pathwise rule with
-integrand (u - r)^{-beta} lambda^delta e^{-lambda (u - r)} and recovers
-the convolution by the weighted time integral with density
-Lambda (t - u)^{beta - 1}, Lambda = sin(pi beta) / pi, using the
-substitution w = (t - u)^beta for the endpoint singularity.
+The factorization route computes Y_u by the pathwise rule with
+integrand (u - r)^{-beta} e^{-lambda (u - r)} and recovers the
+convolution at T by the weighted time integral with density
+Lambda (T - u)^{beta - 1}, Lambda = sin(pi beta) / pi, using the
+substitution w = (T - u)^beta for the endpoint singularity.  Both
+integrals are linear in the path, so they too are one weight vector per
+mode, read through the same fold.
 
 All reductions over replicas, modes, and nodes use numpy's fixed-order
 pairwise summation, so results do not depend on how work is partitioned.
@@ -46,11 +48,10 @@ from scipy.linalg.lapack import dtbtrs
 from .errors import (AdmissibilityError, AlignmentError, ConfigurationError,
                      NumericError, ParameterError, TruncationError)
 from .kernels import VolterraKernel
-from .processes import (CylindricalEnsemble, LazyCylindricalEnsemble,
-                        PathEnsemble, TimeGrid)
+from .processes import CylindricalEnsemble, TimeGrid
 from .quadrature import gauss_legendre_panels, ols_fit, two_sided_singular_rule
-from .wiener_integral import (_rs_weights_offgrid, elementary_integral,
-                              integral_variance, uniform_fbm_quadratic_form)
+from .wiener_integral import (elementary_integral, integral_variance,
+                              uniform_fbm_quadratic_form)
 
 __all__ = [
     "SpectralModel",
@@ -66,7 +67,7 @@ __all__ = [
     "solve_mild",
     "per_mode_variance_oracle",
     "factorization_constant_check",
-    "factorization_reconstruct",
+    "factorization_weights",
     "elementary_operator_check",
 ]
 
@@ -339,30 +340,29 @@ def mode_increment_weights(lam: float, grid: TimeGrid, pairs,
     return w
 
 
-def _folded_modes(model: SpectralModel, noise: NoiseOperator, core,
-                  linear_map, grid: TimeGrid, pairs, replicas: int,
-                  refinement: int | None):
-    """Yield (k, c_k core(k) @ (linear_map @ V_k)) for every mode k.
+def _folded_modes(model: SpectralModel, noise: NoiseOperator, driver,
+                  weights):
+    """Yield (k, c_k core(k) @ (linear_map @ weights(k))) for every mode k.
 
-    For a driver whose coordinate n is ``core(n) @ linear_map`` after its
-    zero column (None is the identity map), these are mode k's
-    convolution differences at ``pairs``, V_k from
-    :func:`mode_increment_weights`, with no path formed.  One product maps
-    V for a block of at most replicas // pairs modes (never more than one
-    replicas x N path); pointwise noise draws its one core once.
+    ``driver`` is a :class:`CylindricalEnsemble`, whose coordinate n is
+    ``core(n) @ linear_map`` after its zero column (None is the identity
+    map), and ``weights(k)`` mode k's (N, P) path weights, so each mode's
+    linear functionals of its path come with no path formed.  One product
+    maps the weights of a block of at most replicas // P modes (never more
+    than one replicas x N path); pointwise noise draws its one core once.
     """
     c = noise.mode_coefficients(model)
-    lam = model.eigenvalues
-    P = len(pairs)
-    shared = core(0) if noise.kind == "pointwise" else None
-    block = max(1, replicas // P)
+    linear_map = driver.sampler.linear_map
+    shared = driver.core(0) if noise.kind == "pointwise" else None
+    first = weights(0)
+    P = first.shape[1]
+    block = max(1, driver.replicas // P)
     for lo in range(0, model.modes, block):
         ks = range(lo, min(lo + block, model.modes))
-        M = np.hstack([mode_increment_weights(lam[k], grid, pairs, refinement)
-                       for k in ks])
+        M = np.hstack([first if k == 0 else weights(k) for k in ks])
         M = M if linear_map is None else linear_map @ M
         for i, k in enumerate(ks):
-            z = core(k) if shared is None else shared
+            z = driver.core(k) if shared is None else shared
             yield k, c[k] * (z @ M[:, i * P:(i + 1) * P])
 
 
@@ -412,31 +412,25 @@ class MildSolutionField:
                                       for m, v in zip(mids, map(fmt, row))]))
 
 
-def _coordinate(driver, n: int) -> PathEnsemble:
-    return driver if isinstance(driver, PathEnsemble) else driver.coordinate(n)
-
-
-def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
-               x0: np.ndarray | None, grid: TimeGrid,
-               refinement: int | None = 64,
+def solve_mild(model: SpectralModel, noise: NoiseOperator,
+               driver: CylindricalEnsemble, x0: np.ndarray | None,
+               grid: TimeGrid, refinement: int | None = 64,
                times: list[float] | None = None) -> MildSolutionField:
     """Mild solution X_t = S(t) x0 + integral_0^t S(t-r) Phi dB_r.
 
-    ``driver`` is a scalar :class:`PathEnsemble` for pointwise noise or a
-    cylindrical ensemble (:class:`CylindricalEnsemble`, or
-    :class:`LazyCylindricalEnsemble` drawn one mode at a time) with
-    exactly ``model.modes`` coordinates for diagonal noise, sampled on
-    ``grid``.  ``times`` (grid times) keeps only t = 0 and those columns,
-    on the grid of the kept times.  They are folded into the driver's
-    last linear map (see :func:`mode_increment_weights`), so no path is
-    formed and each kept value agrees with the full solve's to rounding.
+    ``driver`` is a :class:`CylindricalEnsemble` sampled on ``grid`` with
+    ``noise.driver_modes(model)`` coordinates: one, shared by every mode,
+    for pointwise noise, and ``model.modes`` for diagonal noise.  Without
+    ``times`` each mode's coordinate is drawn, convolved over the whole
+    grid and stored in turn.  ``times`` (grid times) keeps only t = 0 and
+    those columns, on the grid of the kept times: their weights are folded
+    into the driver's last linear map (see :func:`mode_increment_weights`),
+    so no path is formed and each kept value agrees with the full solve's
+    to rounding.
     """
     c = noise.mode_coefficients(model)
     n_drivers = noise.driver_modes(model)
-    if isinstance(driver, PathEnsemble):
-        if n_drivers != 1:
-            raise AlignmentError("diagonal noise needs a cylindrical driver")
-    elif driver.modes != n_drivers:
+    if driver.modes != n_drivers:
         raise AlignmentError(
             f"noise kind {noise.kind!r} needs {n_drivers} driver modes, "
             f"ensemble has {driver.modes}")
@@ -451,29 +445,22 @@ def solve_mild(model: SpectralModel, noise: NoiseOperator, driver,
     if times is not None:
         keep = np.unique([0, *(grid.index(t) for t in times)])
         out_grid = TimeGrid(points=grid.points[keep])
-    if isinstance(driver, LazyCylindricalEnsemble):     # no coordinate drawn
-        head, params = driver, dict(driver.params, mode=0)
-        core, linear_map = driver.core, driver.sampler.linear_map
-    else:
-        head = _coordinate(driver, 0)
-        params, linear_map = head.params, None
-
-        def core(n):
-            return _coordinate(driver, n).values[:, 1:]
-    meta = {"driver_family": head.family, "driver_params": params,
-            "seed": head.seed, "noise": noise.kind, "refinement": refinement}
+    meta = {"driver_family": driver.family,
+            "driver_params": dict(driver.params, mode=0), "seed": driver.seed,
+            "noise": noise.kind, "refinement": refinement}
     flow = np.exp(-model.eigenvalues[:, None] * out_grid.points[None, :])
-    paths = np.empty((head.replicas, model.modes, out_grid.points.size))
+    paths = np.empty((driver.replicas, model.modes, out_grid.points.size))
     if keep is not None:
         # X_k(0) = 0 without the flow, so column j is the increment (0, j)
-        for k, d in _folded_modes(model, noise, core, linear_map, grid,
-                                  [(0, j) for j in keep], head.replicas,
-                                  refinement):
+        pairs = [(0, j) for j in keep]
+        for k, d in _folded_modes(
+                model, noise, driver, lambda k: mode_increment_weights(
+                    model.eigenvalues[k], grid, pairs, refinement)):
             paths[:, k, :] = x0[k] * flow[k][None, :] + d
     else:
         for k in range(model.modes):
             if k < n_drivers:   # pointwise noise reuses its one driver path
-                incs = np.diff(_coordinate(driver, k).values, axis=1)
+                incs = np.diff(driver.coordinate(k).values, axis=1)
             paths[:, k, :] = x0[k] * flow[k][None, :] + c[k] * \
                 mode_convolution(model.eigenvalues[k], incs, grid, refinement)
             if n_drivers > 1:
@@ -515,54 +502,57 @@ def factorization_constant_check(beta: float, r: float, t: float) -> float:
     return float(np.sum(weights))
 
 
-def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
-                              driver, beta: float, delta: float, grid: TimeGrid,
-                              alpha: float) -> MildSolutionField:
-    """Stochastic convolution at t = T through the factorization identity.
+def factorization_weights(lam, grid: TimeGrid, beta: float) -> np.ndarray:
+    """Path weights w of the factorization route: X(T) = c path[:, 1:] @ w.
 
-    Per mode, Y^delta_u is the pathwise integral of
-    (u - r)^{-beta} lambda^delta e^{-lambda (u - r)}, and
+    Per mode, Y_u is the pathwise integral of (u - r)^{-beta}
+    e^{-lambda (u - r)} up to the off-grid u by the refined left-point
+    rule (cells before u's carry the mean of the integrand over their
+    left points, u's own cell the mean over [t_j, u) times the
+    interpolated fraction (u - t_j) / (t_{j+1} - t_j)), and
 
-        X(T) = Lambda integral_0^T (T-u)^{beta-1} e^{-lambda (T-u)}
-               lambda^{-delta} Y^delta_u du,   Lambda = sin(pi beta)/pi,
+        X(T) = Lambda integral_0^T (T-u)^{beta-1} e^{-lambda (T-u)} Y_u du,
+        Lambda = sin(pi beta) / pi,
 
-    with the endpoint singularity removed by w = (T - u)^beta.  The field
-    is returned on the grid [0, T], as ``solve_mild(times=[T])`` returns
-    it: column 0 is the zero start, column 1 the reconstruction at T.
+    with the endpoint singularity removed by w = (T - u)^beta.  The
+    u-quadrature is summed into one increment weight vector
+    (Lambda/beta) sum_u wq_u e^{-lambda (T-u)} rs(u), taken to path
+    weights by the difference transpose as in
+    :func:`mode_increment_weights`.  The paper's split of the semigroup
+    as lambda^{-delta} times lambda^delta Y_u cancels per mode, so the
+    weights do not depend on delta.  An array ``lam`` gives (N, modes),
+    one column per eigenvalue; the sum over u of (u - r)^{-beta}, which
+    does not depend on lambda, is formed once.
     """
-    params = HolderParameters(alpha=alpha, beta=beta, delta=delta)
-    if not params.beta > 0.0:
-        raise ParameterError("factorization needs beta > 0")
-    c = noise.mode_coefficients(model)
-    base = _coordinate(driver, 0)
-    if not np.array_equal(base.grid.points, grid.points):
-        raise AlignmentError("driver grid differs from solver grid")
-    T = grid.T
-    # u-quadrature after w = (T - u)^beta
-    w_nodes, w_weights = gauss_legendre_panels(0.0, T ** beta,
-                                               *_FACTOR_U_PANELS)
-    u_nodes = T - w_nodes ** (1.0 / beta)
-    Lam = np.sin(np.pi * beta) / np.pi
-    replicas = base.values.shape[0]
-    paths = np.zeros((replicas, model.modes, 2))
-    for k in range(model.modes):
-        lam = model.eigenvalues[k]
-        incs = np.diff(_coordinate(driver, k if noise.kind == "diagonal" else 0)
-                       .values, axis=1)
-        acc = np.zeros(replicas)
-        for u, wq in zip(u_nodes, w_weights):
-            if u <= 0.0:
-                continue
-            def integrand(r, u=u, lam=lam):
-                return (u - r) ** (-beta) * lam ** delta * np.exp(-lam * (u - r))
-            wvec = _rs_weights_offgrid(integrand, u, grid, _FACTOR_REFINEMENT)
-            y_u = incs @ wvec
-            acc += wq * np.exp(-lam * (T - u)) * lam ** (-delta) * y_u
-        paths[:, k, -1] = (Lam / beta) * c[k] * acc
-    meta = {"driver_family": base.family, "beta": beta, "delta": delta,
-            "noise": noise.kind, "refinement": _FACTOR_REFINEMENT}
-    return MildSolutionField(grid=TimeGrid(points=grid.points[[0, -1]]),
-                             model=model, mode_paths=paths, metadata=meta)
+    if not 0.0 < beta < 1.0:
+        raise ParameterError(f"factorization needs 0 < beta < 1, got {beta}")
+    lam = np.asarray(lam, dtype=float)
+    t, T, ref = grid.points, grid.T, _FACTOR_REFINEMENT
+    w_nodes, wq = gauss_legendre_panels(0.0, T ** beta, *_FACTOR_U_PANELS)
+    u = T - w_nodes ** (1.0 / beta)
+    wq, u = wq[u > 0.0], u[u > 0.0]
+    cell = np.searchsorted(t, u, "right") - 1
+    # full cells left of u's cell: K(r) = sum_u wq_u (u - r)^{-beta} at
+    # the refined left points r of every cell
+    r = t[:-1] + np.diff(t) * (np.arange(ref)[:, None] / ref)     # (ref, N)
+    left = np.arange(grid.n_steps)[None, :] < cell[:, None]       # (U, N)
+    K = np.stack([wq @ (np.where(left, u[:, None] - ri, 1.0) ** -beta * left)
+                  for ri in r])
+    # u's own cell up to u, scaled by the interpolated increment fraction
+    rem = u - t[cell]
+    part = rem > 1e-14          # u = T rounds onto the grid's last point
+    up, cp, rp, wp = u[part], cell[part], rem[part], wq[part]
+    s = t[cp][:, None] + (rp / ref)[:, None] * np.arange(ref)     # (U', ref)
+    frac = wp * rp / (t[cp + 1] - t[cp])
+    out = np.empty((grid.n_steps, lam.size))
+    for i, lk in enumerate(lam.ravel()):
+        w = np.mean(K * np.exp(-lk * (T - r)), axis=0)
+        np.add.at(w, cp, frac * np.mean((up[:, None] - s) ** -beta
+                                        * np.exp(-lk * (T - s)), axis=1))
+        w *= np.sin(np.pi * beta) / (np.pi * beta)
+        w[:-1] -= w[1:]
+        out[:, i] = w
+    return out if lam.ndim else out[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -570,29 +560,33 @@ def factorization_reconstruct(model: SpectralModel, noise: NoiseOperator,
 # ---------------------------------------------------------------------------
 
 def elementary_operator_check(model: SpectralModel, kernel: VolterraKernel,
-                              gs: list, fs: list, driver: CylindricalEnsemble,
+                              gs: list, fs: list, coordinates: list,
                               q: float, p: float = 2.0) -> dict:
     """Both sides of the square-function characterization for elementary G.
 
     G = sum_k g_k <., e_k> f_k with step g_k and node-sampled f_k.  The
     Monte Carlo side is ||I_T(G)||_{L^q(Omega; L^p)} with
-    I_T(G) = sum_k i_T(g_k) f_k; the deterministic side is the square
-    function (integral (sum_k ||g_k||^2 f_k(x)^2)^{p/2} dx)^{1/p} with
+    I_T(G) = sum_k i_T(g_k) f_k, where i_T(g_k) integrates g_k against
+    ``coordinates[k]``, coordinate k of one cylindrical driver (from
+    :meth:`CylindricalEnsemble.coordinate`); the deterministic side is
+    the square function (integral (sum_k ||g_k||^2 f_k(x)^2)^{p/2}
+    dx)^{1/p} with
     ||g_k||^2 = integral_variance(g_k).  Also evaluates the embedding
     norm (integral_0^T ||G(t)||^{2/(1+2 alpha)}_{gamma} dt)^{(1+2 alpha)/2},
     exact for step g_k.
     """
     if len(gs) != len(fs):
         raise ParameterError(f"{len(gs)} integrands vs {len(fs)} range functions")
-    if driver.modes < len(gs):
-        raise AlignmentError(f"driver has {driver.modes} modes, need {len(gs)}")
+    if len(coordinates) < len(gs):
+        raise AlignmentError(
+            f"{len(coordinates)} driver coordinates for {len(gs)} terms")
     fmat = np.vstack([np.asarray(f, dtype=float) for f in fs]) if fs else \
         np.zeros((0, model.nodes.size))
     if fmat.shape[1] != model.nodes.size:
         raise AlignmentError("range functions must be sampled on the model nodes")
     # MC side
     if gs:
-        xi = np.column_stack([elementary_integral(g, driver.coordinates[k])
+        xi = np.column_stack([elementary_integral(g, coordinates[k])
                               for k, g in enumerate(gs)])
         field_vals = xi @ fmat
         norms = model.lp_norm(field_vals, p)

@@ -263,9 +263,9 @@ def riemann_stieltjes(g, ensemble: PathEnsemble, refinement: int = 8,
         raise ParameterError(f"refinement must be >= 1, got {refinement}")
     incs = np.diff(ensemble.values, axis=1)
     grid = ensemble.grid
-    v1 = incs @ _rs_weights_offgrid(g, grid.T, grid, refinement)
+    v1 = incs @ _rs_weights(g, grid, refinement)
     if check:
-        v2 = incs @ _rs_weights_offgrid(g, grid.T, grid, 2 * refinement)
+        v2 = incs @ _rs_weights(g, grid, 2 * refinement)
         scale = np.sqrt(np.mean(np.square(v1)))
         if scale > 0.0:
             drift = np.sqrt(np.mean(np.square(v2 - v1))) / scale
@@ -276,29 +276,13 @@ def riemann_stieltjes(g, ensemble: PathEnsemble, refinement: int = 8,
     return v1
 
 
-def _rs_weights_offgrid(g, u: float, grid: TimeGrid, refinement: int) -> np.ndarray:
-    """Native-cell weights of the refined left-point rule up to off-grid u.
-
-    Full cells carry the left-point mean of g; the cell containing u
-    carries the mean over [t_j, u) scaled by the interpolated fraction of
-    the path increment.
-    """
+def _rs_weights(g, grid: TimeGrid, refinement: int) -> np.ndarray:
+    """Native-cell weights of the refined left-point rule: the mean of g
+    over each cell's ``refinement`` left points."""
     times = grid.points
-    n = times.size - 1
-    w = np.zeros(n)
-    j_u = int(np.searchsorted(times, u, "right") - 1)
-    j_u = min(j_u, n)
-    if j_u > 0:
-        left = times[:j_u, None]
-        width = np.diff(times)[:j_u, None]
-        offs = np.arange(refinement)[None, :] / refinement
-        pts = left + width * offs
-        w[:j_u] = np.mean(np.asarray(g(pts.ravel())).reshape(pts.shape), axis=1)
-    rem = u - times[j_u] if j_u < n else 0.0
-    if rem > 1e-14 and j_u < n:
-        s = times[j_u] + (rem / refinement) * np.arange(refinement)
-        w[j_u] = np.mean(np.asarray(g(s))) * rem / (times[j_u + 1] - times[j_u])
-    return w
+    offs = np.arange(refinement)[None, :] / refinement
+    pts = times[:-1, None] + np.diff(times)[:, None] * offs
+    return np.mean(np.asarray(g(pts.ravel())).reshape(pts.shape), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,11 @@ from hypothesis import strategies as st
 
 import volterra_spde
 from volterra_spde import cli
-from volterra_spde.cli import (DEFAULT_SEED, _solve_check, apply_override,
-                               config_hash, main, parse_config, run,
-                               serialize_config, validate_config)
+from volterra_spde.cli import (DEFAULT_SEED, _crit_hypercontractivity,
+                               _factorization_check, _solve_check,
+                               apply_override, config_hash, main,
+                               parse_config, run, serialize_config,
+                               validate_config)
 from volterra_spde.errors import ConfigurationError, ParameterError
 from volterra_spde.processes import TimeGrid
 from volterra_spde.spde import NoiseOperator, build_model
@@ -228,6 +230,12 @@ def test_run_failed_verdict_exits_4(tmp_path):
     ("solve", ["model.modes=16", "model.nodes=64", "mc.replicas=200",
                "grids.n_steps=64"]),
     ("gamma-decay", []),
+    ("factorize", ['noise.kind="pointwise"', "model.modes=16",
+                   "mc.replicas=50", "grids.n_steps=128"]),
+    # the default grid: mode 16's lambda dt is 0.5 (at 64 steps it is 4,
+    # and the discrete solution's variance sits 31 % below the continuum)
+    ("solve", ['noise.kind="pointwise"', "model.modes=16", "model.nodes=64",
+               "mc.replicas=200"]),
 ])
 def test_command_runs_its_check_at_config_sizes(tmp_path, command, overrides):
     cfg = _cfg(f'command="{command}"', *overrides,
@@ -257,6 +265,39 @@ def test_solve_check_holds_one_mode_at_a_time(peak_bytes):
     assert peak < replicas * modes * (n_steps + 1) * 8 / 4
     assert field.mode_paths.shape == (replicas, modes, 2)
     assert len(rows) == 3
+
+
+def test_factorization_check_holds_one_mode_at_a_time(peak_bytes):
+    # every beta's route and the direct solve read each mode's one draw
+    modes, replicas, n_steps = 32, 400, 256
+    model = build_model(np.pi, 1, modes, 128)
+    noise = NoiseOperator(kind="diagonal", phi_k=np.ones(modes))
+    grid = TimeGrid.regular(1.0, n_steps)
+    report, peak = peak_bytes(
+        lambda: _factorization_check(model, noise, "fbm", {"H": 0.75}, grid,
+                                     replicas, 5, 64,
+                                     [(0.1, 0.0), (0.2, 0.0), (0.2, 0.2)]))
+    assert peak < replicas * modes * (n_steps + 1) * 8 / 4
+    rows = report["per_combo"]
+    assert list(rows) == ["beta0.1_delta0", "beta0.2_delta0",
+                          "beta0.2_delta0.2"]
+    assert report["ok"] and all(r["ok"] for r in rows.values())
+    # the delta row weights the high modes, where the route is weakest
+    assert rows["beta0.2_delta0.2"]["rel_error"] > \
+        rows["beta0.2_delta0"]["rel_error"]
+
+
+def test_every_hypercontractivity_row_carries_a_margin(tmp_path):
+    details = _crit_hypercontractivity(DEFAULT_SEED, 0.15)["details"]
+    assert len(details) == 6
+    for row in details.values():
+        assert (row["margin"] <= 1.0) == row["ok"]
+    cfg = _cfg('command="chaos"', f"output.directory={tmp_path}")
+    assert run(cfg) == 0
+    report = json.loads((tmp_path / "chaos.json").read_text())
+    rows = [v for v in report.values() if isinstance(v, dict)]
+    assert len(rows) == 6 and report["ok"]
+    assert report["margin"] == max(r["margin"] for r in rows) <= 1.0
 
 
 def test_removed_nu_leaf_is_unknown(tmp_path):

@@ -19,10 +19,11 @@ from volterra_spde.processes import (_G_NODES, _REPLICA_TILE, _ROW_BLOCK,
                                      CylindricalEnsemble, PathEnsemble,
                                      RosenblattSampler, TimeGrid,
                                      _replica_normals, _rosenblatt_edges,
-                                     simulate_cylindrical, simulate_fbm,
-                                     simulate_rosenblatt, third_moment_oracle)
+                                     make_sampler, simulate_cylindrical,
+                                     simulate_fbm, simulate_rosenblatt,
+                                     third_moment_oracle)
 from volterra_spde.quadrature import panels_from_edges
-from volterra_spde.seeding import STREAM_ROSENBLATT
+from volterra_spde.seeding import STREAM_CYLINDRICAL, STREAM_ROSENBLATT
 
 
 # ---------------------------------------------------------------------------
@@ -66,10 +67,24 @@ def test_csv_round_trip(tmp_path):
 
 
 def test_cylindrical_container():
+    # coordinate n is the family sampler's draw on the substream family
+    # (seed, cylindrical, family stream, n), bit for bit, on every call
     grid = TimeGrid.regular(1.0, 8)
-    cyl = simulate_cylindrical("fbm", {"H": 0.75}, 3, grid, 10, seed=1)
-    with pytest.raises(ParameterError):
-        CylindricalEnsemble(modes=2, coordinates=cyl.coordinates)
+    for family, params in (("fbm", {"H": 0.75}),
+                           ("rosenblatt", {"Hp": 0.75, "trunc": 200.0,
+                                           "inner": 64, "check": False,
+                                           "recolor": True})):
+        cyl = simulate_cylindrical(family, params, 3, grid, 10, seed=1)
+        assert isinstance(cyl, CylindricalEnsemble)
+        assert (cyl.modes, cyl.replicas, cyl.grid) == (3, 10, grid)
+        sampler, stream = make_sampler(family, params, grid)
+        for n in range(3):
+            want = sampler.draw(10, 1, STREAM_CYLINDRICAL, stream, n)
+            assert np.array_equal(cyl.coordinate(n).values, want)
+            assert np.array_equal(cyl.coordinate(n).values, want)
+            assert cyl.coordinate(n).params == dict(params, mode=n)
+        with pytest.raises(ParameterError):
+            CylindricalEnsemble(family, params, 0, grid, 10, seed=1)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +492,7 @@ def test_third_moment_oracle_properties():
 def test_cylindrical_modes_independent_and_unit_variance():
     grid = TimeGrid.regular(1.0, 32)
     cyl = simulate_cylindrical("fbm", {"H": 0.75}, 8, grid, 3000, seed=21)
-    finals = np.stack([c.values[:, -1] for c in cyl.coordinates])
+    finals = np.stack([cyl.coordinate(n).values[:, -1] for n in range(8)])
     for n in range(8):
         v = float(np.mean(finals[n] ** 2))
         se = float(np.std(finals[n] ** 2) / np.sqrt(3000))
@@ -493,6 +508,6 @@ def test_cylindrical_deterministic_per_mode():
     b = simulate_cylindrical("fbm", {"H": 0.75}, 5, grid, 5, seed=2)
     # adding modes must not disturb earlier ones
     for n in range(3):
-        assert np.array_equal(a.coordinates[n].values, b.coordinates[n].values)
+        assert np.array_equal(a.coordinate(n).values, b.coordinate(n).values)
     with pytest.raises(ParameterError):
         simulate_cylindrical("unknown", {}, 2, grid, 5, seed=2)

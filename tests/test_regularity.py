@@ -182,8 +182,6 @@ def test_streaming_variogram_matches_materialized_other_drivers(
     [stream] = field_variogram(model, noise, family, params, grid, 1000, 56)
     driver = simulate_cylindrical(family, params, noise.driver_modes(model),
                                   grid, 1000, seed=56)
-    if noise.kind == "pointwise":
-        driver = driver.coordinate(0)
     field = solve_mild(model, noise, driver, None, grid, refinement=256)
     mat = variogram_exponent(field, norm="L2")
     np.testing.assert_allclose(stream["D"], mat["D"], rtol=tol)

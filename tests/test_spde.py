@@ -17,14 +17,15 @@ from volterra_spde.errors import (AdmissibilityError, AlignmentError,
                                   ConfigurationError, ParameterError,
                                   TruncationError)
 from volterra_spde.kernels import make_fbm_kernel
-from volterra_spde.processes import (LazyCylindricalEnsemble, TimeGrid,
-                                     simulate_cylindrical, simulate_fbm)
+from volterra_spde.processes import (CylindricalEnsemble, TimeGrid,
+                                     simulate_cylindrical)
+from volterra_spde.quadrature import gauss_legendre_panels
 from volterra_spde.spde import (HolderParameters, MildSolutionField,
-                                NoiseOperator, build_model,
+                                NoiseOperator, _folded_modes, build_model,
                                 elementary_operator_check,
                                 estimate_gamma_decay, exp_convolution_weight,
                                 factorization_constant_check,
-                                factorization_reconstruct,
+                                factorization_weights,
                                 gamma_radonifying_norm,
                                 mode_convolution, mode_increment_weights,
                                 per_mode_variance_oracle, solve_mild)
@@ -274,39 +275,37 @@ def test_solution_is_linear_in_noise_amplitude():
     assert np.allclose(b.mode_paths, 2.0 * a.mode_paths, rtol=1e-14)
 
 
-def test_solver_alignment_errors(model_16, noise_ones_16, grid_256,
-                                 fbm_ens_075):
-    with pytest.raises(AlignmentError):
-        solve_mild(model_16, noise_ones_16, fbm_ens_075, None, grid_256)
+def test_solver_alignment_errors(model_16, noise_ones_16, grid_256):
     small = simulate_cylindrical("fbm", {"H": 0.75}, 4, grid_256, 4, seed=0)
     with pytest.raises(AlignmentError):
         solve_mild(model_16, noise_ones_16, small, None, grid_256)
     other = TimeGrid.regular(1.0, 128)
     point = NoiseOperator(kind="pointwise", z=1.2)
+    one = simulate_cylindrical("fbm", {"H": 0.75}, 1, other, 4, seed=0)
     with pytest.raises(AlignmentError):
-        solve_mild(model_16, point, fbm_ens_075, None, other)
+        solve_mild(model_16, point, one, None, grid_256)
     with pytest.raises(ParameterError):
-        solve_mild(model_16, point, fbm_ens_075, np.ones(3), grid_256)
+        solve_mild(model_16, point, one, np.ones(3), other)
 
 
 def test_lazy_driver_alignment_errors(model_16, noise_ones_16, grid_256):
-    small = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 4, grid_256, 4, seed=0)
+    small = CylindricalEnsemble("fbm", {"H": 0.75}, 4, grid_256, 4, seed=0)
     with pytest.raises(AlignmentError):
         solve_mild(model_16, noise_ones_16, small, None, grid_256)
     with pytest.raises(AlignmentError):
         small.coordinate(4)
     other = TimeGrid.regular(1.0, 128)
-    lazy = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 16, other, 4, seed=0)
+    wide = CylindricalEnsemble("fbm", {"H": 0.75}, 16, other, 4, seed=0)
     with pytest.raises(AlignmentError):
-        solve_mild(model_16, noise_ones_16, lazy, None, grid_256)
+        solve_mild(model_16, noise_ones_16, wide, None, grid_256)
     point = NoiseOperator(kind="pointwise", z=1.2)
-    with pytest.raises(AlignmentError):
-        solve_mild(model_16, point, lazy, None, other)
-    one = LazyCylindricalEnsemble("fbm", {"H": 0.75}, 1, other, 4, seed=0)
+    with pytest.raises(AlignmentError):     # pointwise noise needs one mode
+        solve_mild(model_16, point, wide, None, other)
+    one = CylindricalEnsemble("fbm", {"H": 0.75}, 1, other, 4, seed=0)
     with pytest.raises(AlignmentError):
         solve_mild(model_16, point, one, None, other, times=[0.123])
     with pytest.raises(ParameterError):
-        LazyCylindricalEnsemble("fbm", {"H": 0.75}, 0, other, 4, seed=0)
+        CylindricalEnsemble("fbm", {"H": 0.75}, 0, other, 4, seed=0)
 
 
 @given(family=st.sampled_from(["fbm", "rosenblatt"]),
@@ -314,13 +313,13 @@ def test_lazy_driver_alignment_errors(model_16, noise_ones_16, grid_256):
        modes=st.integers(1, 4), n_steps=st.integers(2, 12),
        replicas=st.integers(1, 5), uniform=st.booleans(),
        refinement=st.none() | st.integers(1, 64), x0=st.booleans(),
-       lazy=st.booleans(), seed=st.integers(0, 2**32 - 1), data=st.data())
+       seed=st.integers(0, 2**32 - 1), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_streamed_solve_keeps_full_solve_columns(family, kind, modes, n_steps,
                                                  replicas, uniform, refinement,
-                                                 x0, lazy, seed, data):
-    # a times subset, with an eager or a lazy driver, gives the columns of
-    # the eager full-grid solve to rounding, and its metadata exactly
+                                                 x0, seed, data):
+    # a times subset gives the columns of the full-grid solve on the same
+    # driver to rounding, and its metadata exactly
     if uniform:
         grid = TimeGrid.regular(1.0, n_steps)
     else:
@@ -333,12 +332,11 @@ def test_streamed_solve_keeps_full_solve_columns(family, kind, modes, n_steps,
              else NoiseOperator(kind="diagonal", phi_k=np.linspace(1.0, 0.5, modes)))
     n_drivers = noise.driver_modes(model)
     start = np.linspace(-1.0, 2.0, modes) if x0 else None
-    eager = simulate_cylindrical(family, params, n_drivers, grid, replicas, seed)
-    full = solve_mild(model, noise, eager, start, grid, refinement)
+    driver = simulate_cylindrical(family, params, n_drivers, grid, replicas,
+                                  seed)
+    full = solve_mild(model, noise, driver, start, grid, refinement)
     idx = data.draw(st.lists(st.integers(1, n_steps), min_size=1, max_size=3))
     times = grid.points[idx].tolist()
-    driver = (LazyCylindricalEnsemble(family, params, n_drivers, grid,
-                                      replicas, seed) if lazy else eager)
     part = solve_mild(model, noise, driver, start, grid, refinement, times=times)
     keep = np.unique([0, *idx])
     assert np.array_equal(part.grid.points, grid.points[keep])
@@ -369,7 +367,7 @@ def test_pointwise_modes_carry_exact_cross_covariance():
     # the inner product of the two exponential integrands
     model = build_model(np.pi, 1, 2, 64)
     grid = TimeGrid.regular(1.0, 512)
-    driver = simulate_fbm(0.75, grid, replicas=600, seed=9)
+    driver = simulate_cylindrical("fbm", {"H": 0.75}, 1, grid, 600, seed=9)
     noise = NoiseOperator(kind="pointwise", z=1.2)
     field = solve_mild(model, noise, driver, None, grid)
     final = field.mode_paths[:, :, -1]
@@ -471,16 +469,70 @@ def test_factorization_reconstructs_the_convolution():
     driver = simulate_cylindrical("fbm", {"H": 0.75}, 4, grid, 300, seed=21)
     noise = NoiseOperator(kind="diagonal", phi_k=np.ones(4))
     direct = solve_mild(model, noise, driver, None, grid).field_values(1.0)
-    recon = factorization_reconstruct(model, noise, driver, beta=0.2,
-                                      delta=0.0, grid=grid,
-                                      alpha=0.25).field_values(1.0)
+    w = factorization_weights(model.eigenvalues, grid, 0.2)
+    coeff = np.column_stack([driver.coordinate(k).values[:, 1:] @ w[:, k]
+                             for k in range(4)])
+    recon = coeff @ model.eigenfunctions
     rel = np.sqrt(np.mean((recon - direct) ** 2) / np.mean(direct ** 2))
     assert rel < 0.02, f"factorization round-trip error {rel:.4f}"
-    # the delta split cancels analytically, so it must not move the result
-    shifted = factorization_reconstruct(model, noise, driver, beta=0.2,
-                                        delta=0.15, grid=grid,
-                                        alpha=0.25).field_values(1.0)
-    assert np.allclose(shifted, recon, rtol=1e-10, atol=1e-12)
+
+
+def _rs_weights_offgrid(g, u, grid, refinement):
+    """Refined left-point cell weights of g up to the off-grid u: full
+    cells carry the left-point mean of g, u's cell the mean over [t_j, u)
+    scaled by the interpolated fraction of the path increment."""
+    times = grid.points
+    n = times.size - 1
+    w = np.zeros(n)
+    j_u = min(int(np.searchsorted(times, u, "right") - 1), n)
+    if j_u > 0:
+        pts = times[:j_u, None] + np.diff(times)[:j_u, None] * (
+            np.arange(refinement)[None, :] / refinement)
+        w[:j_u] = np.mean(g(pts.ravel()).reshape(pts.shape), axis=1)
+    rem = u - times[j_u] if j_u < n else 0.0
+    if rem > 1e-14 and j_u < n:
+        s = times[j_u] + (rem / refinement) * np.arange(refinement)
+        w[j_u] = np.mean(g(s)) * rem / (times[j_u + 1] - times[j_u])
+    return w
+
+
+def _per_u_reconstruction(lam, incs, grid, beta):
+    """X(T) of one mode by the factorization route as one pathwise
+    integral per u-node, the u-quadrature summed over their values."""
+    T = grid.T
+    w_nodes, w_weights = gauss_legendre_panels(0.0, T ** beta, 12, 8)
+    acc = np.zeros(incs.shape[0])
+    for u, wq in zip(T - w_nodes ** (1.0 / beta), w_weights):
+        if u <= 0.0:
+            continue
+        wvec = _rs_weights_offgrid(
+            lambda r, u=u: (u - r) ** (-beta) * np.exp(-lam * (u - r)),
+            u, grid, 16)
+        acc += wq * np.exp(-lam * (T - u)) * (incs @ wvec)
+    return np.sin(np.pi * beta) / (np.pi * beta) * acc
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3])
+def test_factorization_weights_match_the_per_u_loop(beta):
+    # folding the u-quadrature into one weight vector per mode moves the
+    # route's values by rounding only
+    model = build_model(np.pi, 1, 4, 64)
+    grid = TimeGrid.regular(1.0, 256)
+    noise = NoiseOperator(kind="diagonal",
+                          phi_k=np.array([1.0, -0.5, 2.0, 0.3]))
+    driver = simulate_cylindrical("fbm", {"H": 0.75}, 4, grid, 50, seed=3)
+    lam, c = model.eigenvalues, noise.mode_coefficients(model)
+    w = factorization_weights(lam, grid, beta)
+    assert w.shape == (256, 4)
+    assert np.array_equal(factorization_weights(lam[2], grid, beta), w[:, 2])
+    for k, folded in _folded_modes(model, noise, driver,
+                                   lambda k: w[:, k:k + 1]):
+        incs = np.diff(driver.coordinate(k).values, axis=1)
+        loop = c[k] * _per_u_reconstruction(lam[k], incs, grid, beta)
+        assert np.max(np.abs(folded[:, 0] - loop)) <= \
+            1e-12 * np.max(np.abs(loop))
+    with pytest.raises(ParameterError):
+        factorization_weights(lam, grid, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +546,8 @@ def test_elementary_operator_single_term_ratios():
     driver = simulate_cylindrical("fbm", {"H": 0.75}, 2, grid, 2000, seed=17)
     g = StepFunction.indicator(1.0)
     f = model.eigenfunctions[0]
-    res = elementary_operator_check(model, kernel, [g], [f], driver, q=2.0)
+    res = elementary_operator_check(model, kernel, [g], [f],
+                                    [driver.coordinate(0)], q=2.0)
     # ||i_T(1_[0,1])||_{L^2} = 1 and ||e_1||_{L^2} = 1, so every norm is 1
     assert res["square_function_norm"] == pytest.approx(1.0, rel=2e-4)
     assert res["embedding_norm"] == pytest.approx(1.0, rel=1e-10)
@@ -503,7 +556,8 @@ def test_elementary_operator_single_term_ratios():
 
 
 def test_elementary_operator_validation(model_16, kernel_075, grid_256):
-    driver = simulate_cylindrical("fbm", {"H": 0.75}, 1, grid_256, 4, seed=0)
+    driver = [simulate_cylindrical("fbm", {"H": 0.75}, 1, grid_256, 4,
+                                   seed=0).coordinate(0)]
     g = StepFunction.indicator(1.0)
     with pytest.raises(ParameterError):
         elementary_operator_check(model_16, kernel_075, [g], [], driver, 2.0)
